@@ -9,10 +9,23 @@ with ``M_j(pi) = sum_i pi_i (X_ij - mu_j)`` and per-column weights
 ``delta_j = 1/s_j^2`` (divisor-n sample variance; constant columns get
 ``delta_j = 0`` and drop out of the penalty).  The penalty level defaults
 to ``lambda = c_star * n / p``.  The objective is strictly convex with a
-built-in log barrier, so the minimizer is unique and interior; we find it
-with an equality-constrained damped Newton method on the (n+1)-dimensional
-KKT system, falling back to a damped fixed-point sweep on the stationarity
-equations if Newton stalls.
+built-in log barrier, so the minimizer is unique and interior.
+
+One Newton kernel finds it for a stack of B same-shape problems at once:
+``solve_pel`` passes B = 1, the subsampling calibration passes the
+overlapping blocks of a curve, a chunk at a time, with the chunk size
+bounded by chunk (m+1)(m+1+p) <= 4 (n+1)^2 so that a chunk's KKT systems
+and data cost a small multiple of the full-sample KKT matrix.  With
+G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2, so the kernel works
+on the Gram matrices alone.  Each iteration solves the bordered
+(n+1)-dimensional KKT systems of the active problems in one batched call.
+Once the squared Newton decrement -g'd is below 1/16 the step is in the
+pure-Newton phase of this self-concordant objective and is taken in full,
+so convergence does not hinge on comparing objective values that differ by
+less than their rounding; larger steps backtrack to an Armijo decrease.  A
+problem leaves the stack once its KKT residual is below ``newton_tol``.
+Problems Newton leaves unconverged go one at a time to a damped
+fixed-point sweep on the stationarity equations.
 """
 
 from __future__ import annotations
@@ -22,6 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError
+
+# Below this squared Newton decrement a step is in the pure-Newton phase of
+# the self-concordant objective (Boyd & Vandenberghe 9.6.4): the full step
+# stays feasible and passes the Armijo test, so it is taken untested.
+FULL_STEP_DECREMENT = 1.0 / 16.0
+# Sufficient-decrease constant of the backtracking line search.
+ARMIJO = 1e-4
 
 __all__ = [
     "DataMatrix",
@@ -102,6 +122,19 @@ class PelSolution:
     kkt_residual: float
 
 
+def _moments(x):
+    """Means, divisor-n variances and delta weights of the columns of ``x``.
+
+    Works on the last two axes, so one (..., n, p) call serves a single
+    data matrix or a stack of blocks with the same two-pass formula.
+    """
+    mean = x.mean(axis=-2)
+    var = np.mean((x - mean[..., None, :]) ** 2, axis=-2)
+    delta = np.zeros_like(var)
+    np.divide(1.0, var, out=delta, where=var > 0)
+    return mean, var, delta
+
+
 def compute_column_stats(values) -> DataMatrix:
     """Build a DataMatrix: column means, divisor-n variances, delta weights.
 
@@ -115,11 +148,7 @@ def compute_column_stats(values) -> DataMatrix:
         raise DimensionError(f"need at least 2 rows, got {n}")
     if p < 1:
         raise DimensionError("need at least 1 column")
-    mean = x.mean(axis=0)
-    var = np.mean((x - mean) ** 2, axis=0)
-    delta = np.zeros(p)
-    pos = var > 0
-    delta[pos] = 1.0 / var[pos]
+    mean, var, delta = _moments(x)
     for arr in (x, mean, var, delta):
         arr.setflags(write=False)
     return DataMatrix(values=x, col_mean=mean, col_var=var, delta=delta)
@@ -147,59 +176,126 @@ def _kkt_residual(pi, ytil, lam) -> float:
     return float(np.max(np.abs(g)))
 
 
-def _newton(pi, ytil, lam, n, tol, max_iters):
-    """Feasible-start Newton on the equality-constrained problem.
+def _matvec(gram, pi):
+    """Row-wise products gram[b] @ pi[b] of a (B, n, n) and a (B, n) stack."""
+    return np.matmul(gram, pi[:, :, None])[:, :, 0]
 
-    Returns (pi, iterations, converged, residual).  The Hessian is the
-    dense n x n matrix diag(1/pi^2) + 2 lambda Ytil Ytil'; each step solves
-    the bordered KKT system of size n+1 and backtracks to keep pi > 0.
+
+def _kkt_solve(kkt, rhs):
+    """Solve a stack of KKT systems; a singular system's row comes back NaN."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for b in range(len(kkt)):
+            try:
+                out[b] = np.linalg.solve(kkt[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _step_lengths(pi, d, gpi, gram, dec):
+    """Step length of each row of the stack along its Newton direction ``d``.
+
+    A row whose squared Newton decrement ``dec`` is below
+    FULL_STEP_DECREMENT takes the full step.  The others backtrack from
+    the largest step that keeps pi > 0 until the Armijo condition holds.
+    Along the step the objective changes by -sum log1p(t d/pi) + t d'G pi
+    + t^2 d'G d / 2, which is accurate however small the change.  Returns
+    NaN where the decrement is not finite or backtracking gave out.
     """
-    b = 2.0 * lam * (ytil @ ytil.T)
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[n, :n] = 1.0
-    kkt[:n, n] = 1.0
-    rhs = np.zeros(n + 1)
-    idx = np.arange(n)
+    finite = np.isfinite(dec)
+    t = np.where(finite, 1.0, np.nan)
+    with np.errstate(invalid="ignore"):
+        damped = finite & ((dec >= FULL_STEP_DECREMENT)
+                           | np.any(pi + d <= 0, axis=1))
+    if not damped.any():
+        return t
+    rows = np.flatnonzero(damped)
+    pr, dr = pi[rows], d[rows]
+    quad = np.einsum("ij,ij->i", _matvec(gram, d), d)[rows]
+    lin = np.einsum("ij,ij->i", gpi[rows], dr)
+    slope = np.minimum(-dec[rows], 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t[rows] = np.minimum(
+            1.0, 0.99 * np.where(dr < 0, -pr / dr, np.inf).min(axis=1))
+        todo = np.arange(rows.size)
+        while todo.size:
+            tk = t[rows[todo]]
+            step = tk[:, None] * dr[todo] / pr[todo]
+            change = (-np.sum(np.log1p(step), axis=1) + tk * lin[todo]
+                      + 0.5 * tk * tk * quad[todo])
+            ok = (np.all(step > -1.0, axis=1)
+                  & (change <= ARMIJO * tk * slope[todo]))
+            todo = todo[~ok]
+            t[rows[todo]] *= 0.5
+            gave_out = t[rows[todo]] <= 1e-14
+            t[rows[todo[gave_out]]] = np.nan
+            todo = todo[~gave_out]
+    return t
 
-    def fval(x):
-        m = ytil.T @ x
-        return -np.sum(np.log(n * x)) + lam * (m @ m)
 
-    residual = np.inf
-    for it in range(max_iters):
-        g = -1.0 / pi + b @ pi
-        residual = float(np.max(np.abs(g - g.mean())))
-        if residual < tol:
-            return pi, it, True, residual
-        kkt[:n, :n] = b
-        kkt[idx, idx] += 1.0 / pi**2
-        rhs[:n] = -g
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return pi, it, False, residual
-        d = sol[:n]
-        slope = float(g @ d)
-        if not np.isfinite(slope):
-            return pi, it, False, residual
-        # rounding can leave a marginally positive directional derivative
-        # near the optimum; fall back to a plain-decrease condition there
-        armijo_slope = min(slope, 0.0)
-        neg = d < 0
-        t = 1.0 if not np.any(neg) else min(1.0, 0.99 * np.min(pi[neg] / -d[neg]))
-        f0 = fval(pi)
-        while t > 1e-14:
-            trial = pi + t * d
-            if np.all(trial > 0) and fval(trial) <= f0 + 1e-4 * t * armijo_slope:
+def _newton(pi, gram, tol, max_iters):
+    """Feasible-start Newton on a stack of B same-shape problems.
+
+    ``pi`` (B, n) holds the starting weights and ``gram`` (B, n, n) the
+    matrices G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
+    -sum log(n pi) + pi'G_b pi / 2, whose Hessian is diag(1/pi^2) + G_b.
+    Each iteration solves the bordered (n+1) KKT systems of the rows still
+    active in one batched call.  A row leaves the stack once its KKT
+    residual is below ``tol`` (converged) or its step fails: a singular
+    system, a non-finite decrement or a line search that gave out.
+
+    Returns (pi, iterations, converged, residual), one entry per row.
+    """
+    n_rows, n = pi.shape
+    iterations = np.full(n_rows, max_iters)
+    converged = np.zeros(n_rows, dtype=bool)
+    residual = np.full(n_rows, np.inf)
+    kkt = np.zeros((n_rows, n + 1, n + 1))
+    kkt[:, :n, n] = 1.0
+    kkt[:, n, :n] = 1.0
+    rhs = np.zeros((n_rows, n + 1, 1))
+    pi = pi.copy()
+    rows, x, g_act = np.arange(n_rows), pi, gram
+    for it in range(max_iters + 1):
+        gpi = _matvec(g_act, x)
+        grad = -1.0 / x + gpi
+        res = np.max(np.abs(grad - grad.mean(axis=1, keepdims=True)), axis=1)
+        residual[rows] = res
+        converged[rows] = res < tol
+        done = converged[rows] | (it == max_iters)
+        if done.any():
+            pi[rows[done]] = x[done]
+            iterations[rows[done]] = it
+            keep = ~done
+            if not keep.any():
                 break
-            t *= 0.5
-        else:
-            return pi, it, False, residual
-        pi = pi + t * d
-        pi = pi / pi.sum()
-    g = -1.0 / pi + b @ pi
-    residual = float(np.max(np.abs(g - g.mean())))
-    return pi, max_iters, residual < tol, residual
+            # the stack shrinks only when a row leaves it, so with B = 1
+            # the Gram matrix is never copied
+            rows, x, g_act, grad, gpi = (
+                rows[keep], x[keep], g_act[keep], grad[keep], gpi[keep])
+        b = len(rows)
+        kkt[:b, :n, :n] = g_act
+        kkt[:b].reshape(b, -1)[:, : n * (n + 2): n + 2] += x ** -2
+        rhs[:b, :n, 0] = -grad
+        d = _kkt_solve(kkt[:b], rhs[:b])[:, :n, 0]
+        # the squared Newton decrement: -g'd equals d'Hd at the KKT solution
+        dec = -np.einsum("ij,ij->i", grad, d)
+        t = _step_lengths(x, d, gpi, g_act, dec)
+        failed = np.isnan(t)
+        if failed.any():
+            pi[rows[failed]] = x[failed]
+            iterations[rows[failed]] = it
+            keep = ~failed
+            if not keep.any():
+                break
+            rows, x, g_act, d, t = (
+                rows[keep], x[keep], g_act[keep], d[keep], t[keep])
+        x = x + t[:, None] * d
+        x /= x.sum(axis=1, keepdims=True)
+    return pi, iterations, converged, residual
 
 
 def _fixed_point(pi, ytil, lam, n, tol, max_iters):
@@ -236,6 +332,36 @@ def _fixed_point(pi, ytil, lam, n, tol, max_iters):
     return pi, max_iters, False, residual
 
 
+def _solve_stack(ytil, lam, cfg: PelConfig):
+    """Minimize the PEL criterion of B same-shape problems at once.
+
+    ``ytil`` (B, n, p) stacks Ytil_b = (X_b - mu) sqrt(delta_b).  Every row
+    starts at the uniform weights and runs the stacked Newton; a row that
+    Newton leaves unconverged goes on to the fixed-point sweep alone.
+
+    Returns (pi, stat, iterations, converged, residual), one entry per row;
+    where ``converged`` is False, ``pi`` is the best iterate and ``stat``
+    is not a statistic.
+    """
+    n_rows, n, _ = ytil.shape
+    gram = np.matmul(ytil, ytil.transpose(0, 2, 1))
+    gram *= 2.0 * lam
+    pi, iters, ok, res = _newton(np.full((n_rows, n), 1.0 / n), gram,
+                                 cfg.newton_tol, cfg.max_newton_iters)
+    for b in np.flatnonzero(~ok):
+        pi[b], extra, ok[b], res[b] = _fixed_point(
+            pi[b], ytil[b], lam, n, cfg.newton_tol, cfg.max_fixed_point_iters)
+        iters[b] += extra
+    # the penalty lambda sum_j delta_j M_j^2 equals pi'G pi / 2
+    stat = -np.sum(np.log(n * pi), axis=1) + 0.5 * np.einsum(
+        "ij,ij->i", pi, _matvec(gram, pi))
+    stat[(stat > -1e-9) & (stat < 0)] = 0.0
+    # no penalty at all (lambda = 0 or every delta = 0): the uniform start
+    # is optimal and K_n is exactly 0
+    stat[~gram.any(axis=(1, 2))] = 0.0
+    return pi, stat, iters, ok, res
+
+
 def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     """Minimize the PEL criterion over the open simplex.
 
@@ -259,40 +385,18 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     n, p = data.n, data.p
     if mu.shape != (p,):
         raise DimensionError(f"mu must have shape ({p},), got {mu.shape}")
-    lam = cfg.penalty(n, p)
-
-    uniform = np.full(n, 1.0 / n)
-    if lam == 0 or not np.any(data.delta > 0):
-        # Penalty vanishes identically; the barrier alone is minimized at 1/n.
-        return PelSolution(
-            pi=uniform, stat=0.0, m_vec=(data.values - mu).T @ uniform,
-            iterations=0, converged=True, kkt_residual=0.0,
-        )
-
     y = data.values - mu
     ytil = y * np.sqrt(data.delta)
-
-    pi, iters, ok, res = _newton(
-        uniform.copy(), ytil, lam, n, cfg.newton_tol, cfg.max_newton_iters
-    )
-    if not ok:
-        pi, extra, ok, res = _fixed_point(
-            pi, ytil, lam, n, cfg.newton_tol, cfg.max_fixed_point_iters
-        )
-        iters += extra
-    if not ok:
+    pi, stat, iters, ok, res = _solve_stack(ytil[None], cfg.penalty(n, p), cfg)
+    pi, res = pi[0], float(res[0])
+    if not ok[0]:
         raise ConvergenceError(
             f"PEL solver did not reach tol={cfg.newton_tol:g} "
-            f"(residual {res:.3e} after {iters} iterations)",
+            f"(residual {res:.3e} after {iters[0]} iterations)",
             best_pi=pi, residual=res,
         )
-
-    m_vec = y.T @ pi
-    stat = float(-np.sum(np.log(n * pi)) + lam * np.dot(data.delta, m_vec**2))
-    if -1e-9 < stat < 0:
-        stat = 0.0
     return PelSolution(
-        pi=pi, stat=stat, m_vec=m_vec, iterations=iters,
+        pi=pi, stat=float(stat[0]), m_vec=y.T @ pi, iterations=int(iters[0]),
         converged=True, kkt_residual=res,
     )
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,6 +57,9 @@ M_RULES = ("ergodic", "ne-cuberoot", "ne-sqrt")
 
 # Replicate failure fraction beyond which a result cell is invalidated.
 MAX_CELL_FAILURE_RATE = 0.02
+
+# Thread-count variables of OpenBLAS and OpenMP, pinned in pool workers.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -194,11 +200,18 @@ def _replicate_compare(cfg: ExperimentConfig, rep: int) -> np.ndarray:
         x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, rep))
         data = compute_column_stats(x)
         kn = solve_pel(data, mu0, pel_cfg).stat
-        alpha_hat = estimate_alpha_hurst(data)
-        statistic = cfg.p ** min(alpha_hat, 0.5) * (kn - cfg.c_star)
     except PelhdError:
         return out
-    for i, m in enumerate(cfg.subsample_sizes()):
+    try:
+        alpha_hat = estimate_alpha_hurst(data)
+    except PelhdError:
+        # e.g. p < 16: the subsampling rows stay NaN, while the Normal
+        # route below needs no alpha_hat
+        m_sizes = ()
+    else:
+        m_sizes = cfg.subsample_sizes()
+        statistic = cfg.p ** min(alpha_hat, 0.5) * (kn - cfg.c_star)
+    for i, m in enumerate(m_sizes):
         try:
             curve = build_curve_ergodic(data, mu0, m, alpha_hat, pel_cfg)
             for j, level in enumerate(cfg.levels):
@@ -229,15 +242,38 @@ def _run_replicates(cfg: ExperimentConfig, kind: str) -> np.ndarray:
     n_rows = len(cfg.m_rules) + (1 if kind == "compare" else 0)
     stacked = np.full((cfg.n_replicates, n_rows, len(cfg.levels)), np.nan)
     if cfg.threads == 1:
-        results = map(_replicate_task, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=cfg.threads)
-        results = pool.map(_replicate_task, tasks, chunksize=8)
-    for rep, arr in results:
-        stacked[rep] = arr
-    if cfg.threads > 1:
-        pool.shutdown()
+        for rep, arr in map(_replicate_task, tasks):
+            stacked[rep] = arr
+        return stacked
+    with _worker_pool(cfg.threads) as pool:
+        for rep, arr in pool.map(_replicate_task, tasks, chunksize=8):
+            stacked[rep] = arr
     return stacked
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A process pool whose workers run BLAS on one thread each.
+
+    k workers that each start a multi-threaded BLAS oversubscribe the
+    cores.  The workers are spawned, not forked (a forked child keeps the
+    parent's BLAS thread pool), with OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS set to 1 while the pool lives; the caller's values
+    are restored afterwards.
+    """
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 def _aggregate(cfg: ExperimentConfig, stacked: np.ndarray,

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from pelhd import experiments
 
 from pelhd.calibration import (
     CalibrationCurve,
@@ -17,20 +21,37 @@ from pelhd.calibration import (
     quantile,
     subsample_size,
 )
-from pelhd.core import PelConfig, compute_column_stats, neg_log_pel_ratio
-from pelhd.errors import DegenerateDataError, DimensionError, DomainError
+from pelhd.core import (
+    PelConfig,
+    compute_column_stats,
+    neg_log_pel_ratio,
+    solve_pel,
+)
+from pelhd.errors import (
+    ConvergenceError,
+    DegenerateDataError,
+    DimensionError,
+    DomainError,
+    NumericError,
+)
+from pelhd.experiments import ExperimentConfig, load_experiment_configs
 from pelhd.simulate import (
     DependenceSpec,
     arma_autocorrelations,
     gen_lrd,
     gen_non_ergodic,
     gen_srd_arma,
+    generate,
 )
 
 from conftest import rng_for
 
 CFG = PelConfig(c_star=1.0)
 SPEC_SRD = DependenceSpec.short_range_arma()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# Newton and fixed-point budgets of 1: any block that is not solved at the
+# uniform start fails.
+TIGHT = PelConfig(c_star=1.0, max_newton_iters=1, max_fixed_point_iters=1)
 
 
 def _curve(values, regime="ne"):
@@ -383,6 +404,89 @@ class TestConservativeRule:
         assert rates[0] > 0  # fires under the null at these sizes
         assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
         np.testing.assert_allclose(rates, [0.72, 0.75, 0.91], atol=0.12)
+
+
+class TestStackedBlockSolves:
+    def test_power_replicate_blocks_do_not_stall(self):
+        """Every block of a table3 power replicate converges by Newton.
+
+        Replicate 0 of the p = 20 cell: with a line search that compared
+        objective values differing by less than their rounding, 24 of its
+        547 block solves ran Newton to its 100-iteration cap.  Each block,
+        re-solved alone, must take fewer than 20 iterations and reproduce
+        the value the stacked curve holds.
+        """
+        cfgs = load_experiment_configs(
+            (CONFIGS / "table3_power_srd.ini").read_text())
+        cfg = next(c for c in cfgs if c.p == 20)
+        x = generate(cfg.dependence, cfg.n, cfg.p,
+                     experiments._replicate_seed(cfg, 0))
+        data = compute_column_stats(x + experiments._mu1(cfg))
+        mu0 = np.zeros(cfg.p)
+        blocks = 0
+        for m in cfg.subsample_sizes():
+            curve = build_curve_ne(data, mu0, m, cfg.pel_config())
+            for i, value in enumerate(curve.block_stats):
+                sol = solve_pel(compute_column_stats(data.values[i:i + m]),
+                                mu0, cfg.pel_config())
+                assert sol.iterations < 20
+                assert sol.stat == pytest.approx(value, rel=1e-12, abs=0)
+                blocks += 1
+        assert blocks == sum(cfg.n - m + 1 for m in cfg.subsample_sizes())
+
+    def test_tight_budgets_fail_the_curve_and_the_replicate(self, monkeypatch):
+        x = gen_non_ergodic(60, 16, rng_for("tight", 0))
+        data = compute_column_stats(x)
+        with pytest.raises(NumericError):
+            build_curve_ne(data, np.zeros(16), 8, TIGHT)
+
+        real = experiments.build_curve_ne
+        monkeypatch.setattr(
+            experiments, "build_curve_ne",
+            lambda data, mu0, m, cfg: real(
+                data, mu0, m, replace(cfg, max_newton_iters=1,
+                                      max_fixed_point_iters=1)))
+        cfg = ExperimentConfig(
+            mode="level", n=60, p=16, dependence=DependenceSpec.non_ergodic(),
+            levels=(0.05, 0.1), m_rules=(("ne-sqrt", 1.0), ("ne-sqrt", 2.0)),
+            n_replicates=1, seed=3)
+        out = experiments._replicate_decisions(cfg, 0, None)
+        assert out.shape == (2, 2)
+        assert np.all(np.isnan(out))
+
+    def test_one_failed_block_among_many(self):
+        """A single unsolved block becomes NaN and is left out of the curve.
+
+        The rows repeat with period m and each period has column means 0,
+        so every block mean equals mu0 = 0 and the uniform start is optimal
+        - except in the last block, the only one holding the shifted last
+        row.  With budgets of 1 that block alone fails.
+        """
+        n, m, p = 110, 10, 3
+        base = rng_for("oneblock", 0).normal(size=(m, p))
+        base -= base.mean(axis=0)
+        x = np.tile(base, (n // m + 1, 1))[:n]
+        x[-1] += 3.0
+        data = compute_column_stats(x)
+        mu0 = np.zeros(p)
+        curve = build_curve_ne(data, mu0, m, TIGHT)
+        n_blocks = n - m + 1
+        assert n_blocks >= 100
+        assert curve.n_failed == 1
+        assert np.isnan(curve.block_stats[-1])
+        assert not np.any(np.isnan(curve.block_stats[:-1]))
+        np.testing.assert_array_equal(
+            curve.sorted_values, np.sort(curve.block_stats[:-1]))
+
+        # the same block fails alone through solve_pel, with diagnostics
+        with pytest.raises(ConvergenceError) as err:
+            solve_pel(compute_column_stats(x[-m:]), mu0, TIGHT)
+        assert err.value.best_pi.shape == (m,)
+        assert err.value.residual > TIGHT.newton_tol
+        for i in (0, n_blocks // 2, n_blocks - 2):
+            sol = solve_pel(compute_column_stats(x[i:i + m]), mu0, TIGHT)
+            assert sol.stat == pytest.approx(
+                curve.block_stats[i], rel=1e-12, abs=1e-12)
 
 
 class TestSubsamplingPlan:

@@ -17,6 +17,59 @@ from conftest import rng_for
 from oracles import objective_direct, simplex_grid_minimum
 
 
+STRESS_KINDS = ("lambda", "far_mu", "near_dup", "cauchy", "constant")
+
+# K_n of stress_instance(k), k = 0..39, recorded with the one-problem-at-a-
+# time Newton solver that the stacked kernel replaced; None where that
+# solver raised ConvergenceError.
+STRESS_REFERENCE = (
+    0.0006923436048483932, None, 66.05737597786303, 221.11211197965898,
+    6.038615366311432, 0.011834829689761175, 234.85103123867881,
+    9.424444165561674, 62.43786808075029, None, 1.149861257867365,
+    370.25887187667973, 144.27319891472888, 13.567405681299876, None,
+    0.007075429629013789, 315473.42745859193, 18.364793816692302,
+    34.06421688040392, 0.921916455492114, None, 84169.27551774938,
+    39.87938964780394, 584.0043576892618, 0.4572056062724195,
+    464.8770694092247, 111240.0141850745, 0.10291088927165078,
+    78.30968172902566, None, 4542.021971517942, None, 2915367262.0492396,
+    59.16785775396417, 5.906094327345275e+31, 0.04052693506614934,
+    2850.9448856164036, 38.481062777043235, 84.07140869533134, None,
+)
+
+
+def stress_instance(k):
+    """(values, mu, c_star, lam) of the k-th stress instance.
+
+    Kinds rotate through extreme lambda (1e-6 to 1e6), mu far from the
+    data, near-duplicate rows, Cauchy data and constant columns; every
+    eighth instance has n = 2.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((20260810, 7, k)))
+    kind = STRESS_KINDS[k % 5]
+    n = 2 if k % 8 == 0 else int(rng.integers(3, 40))
+    p = int(rng.integers(1, 30))
+    c_star = float(rng.uniform(0.2, 3.0))
+    lam = None
+    mu = rng.normal(size=p) * 0.5
+    if kind == "lambda":
+        x = rng.normal(size=(n, p))
+        lam = float(10 ** rng.uniform(-6, 6))
+    elif kind == "far_mu":
+        x = rng.normal(size=(n, p))
+        mu = rng.normal(size=p) * 10 ** rng.uniform(0, 3)
+    elif kind == "near_dup":
+        base = rng.normal(size=(max(1, n // 4), p))
+        x = base[rng.integers(0, len(base), n)]
+        x = x + 10 ** rng.uniform(-12, -4) * rng.normal(size=(n, p))
+    elif kind == "cauchy":
+        x = rng.standard_cauchy(size=(n, p))
+        mu = rng.standard_cauchy(size=p)
+    else:
+        x = rng.normal(size=(n, p))
+        x[:, rng.random(p) < 0.5] = rng.normal()
+    return x, mu, c_star, lam
+
+
 def random_instance(rng, n=None, p=None):
     n = n or int(rng.integers(2, 9))
     p = p or int(rng.integers(1, 4))
@@ -170,6 +223,21 @@ class TestSolvePel:
             solve_pel(dm, mu + 5.0, cfg)
         assert err.value.best_pi.shape == (8,)
         assert err.value.residual > 0
+
+    def test_stress_corpus_keeps_reference_solutions(self):
+        """Every stress instance the reference solver solved is still
+        solved, with the same statistic to 1e-9 relative."""
+        solved = 0
+        for k, want in enumerate(STRESS_REFERENCE):
+            if want is None:
+                continue
+            x, mu, c_star, lam = stress_instance(k)
+            cfg = PelConfig(c_star=c_star, lam=lam)
+            sol = solve_pel(compute_column_stats(x), mu, cfg)
+            assert sol.kkt_residual < cfg.newton_tol
+            assert sol.stat == pytest.approx(want, rel=1e-9, abs=0), k
+            solved += 1
+        assert solved == 33
 
     def test_fixed_point_agrees_with_newton(self):
         rng = rng_for("solve", 7)

@@ -1,5 +1,7 @@
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.special import ndtri
 
 from pelhd.core import PelConfig, compute_column_stats, neg_log_pel_ratio
 from pelhd.errors import ConfigError
+from pelhd import experiments
 from pelhd.experiments import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -24,6 +27,7 @@ from pelhd.simulate import DependenceSpec, arma_autocorrelations, gen_srd_arma
 from conftest import rng_for
 
 SRD = DependenceSpec.short_range_arma()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_cfg(**overrides):
@@ -165,6 +169,17 @@ class TestLevelExperiment:
         pooled = rows_to_csv(run_level_experiment(replace(cfg, threads=2)))
         assert serial == pooled
 
+    def test_pool_workers_run_blas_single_threaded(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with experiments._worker_pool(2) as pool:
+            seen = [pool.submit(os.getenv, key).result(timeout=120)
+                    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+        assert seen == ["1", "1"]
+        # the caller's environment comes back unchanged
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
+
     def test_config_hash_tracks_science_only(self):
         cfg = small_cfg()
         assert cfg.config_hash() == replace(cfg, threads=4).config_hash()
@@ -220,6 +235,22 @@ class TestCalibrationCompare:
         assert ("normal", 0.0) in rules
         assert ("ergodic", 1.0) in rules and ("ergodic", 2.0) in rules
         assert len(rows) == 3  # (2 m-rules + normal) x 1 level
+
+    def test_normal_row_needs_no_hurst_estimate(self):
+        # p = 7 is too short for the Hurst grid (p >= 16): the subsampling
+        # rows have no alpha_hat and stay NaN, the Normal row is computed
+        cfgs = load_experiment_configs(
+            (CONFIGS / "table5_compare_srd.ini").read_text())
+        cfg = replace(next(c for c in cfgs if c.p == 7), n_replicates=4)
+        rows = run_experiment(cfg)
+        normal = [r for r in rows if r["m_rule"] == "normal"]
+        assert normal
+        for row in normal:
+            assert row["n_reps"] == 4
+            assert math.isfinite(row["a_hat"])
+        for row in rows:
+            if row["m_rule"] != "normal":
+                assert row["n_reps"] == 0 and math.isnan(row["a_hat"])
 
     def test_normal_route_insensitive_to_variance_plugin(self):
         """Swapping the plug-in variance for the exact one barely moves a_hat.
