@@ -6,7 +6,6 @@ and a Monte Carlo experiment harness.
 
 from .calibration import (
     CalibrationCurve,
-    SubsamplingPlan,
     TestReport,
     build_curve_ergodic,
     build_curve_ne,
@@ -42,10 +41,7 @@ from .experiments import (
     ExperimentConfig,
     load_experiment_configs,
     rows_to_csv,
-    run_calibration_compare,
     run_experiment,
-    run_level_experiment,
-    run_power_experiment,
 )
 from .limits import (
     LimitRegime,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SubsamplingPlan",
     "CalibrationCurve",
     "TestReport",
     "subsample_size",
@@ -45,29 +44,6 @@ logger = logging.getLogger(__name__)
 
 # Fraction of failed block solves at which the whole curve is rejected.
 MAX_BLOCK_FAILURE_RATE = 0.01
-
-
-@dataclass(frozen=True)
-class SubsamplingPlan:
-    """Subsample size m and the n-m+1 overlapping blocks {i, ..., i+m-1}."""
-
-    n: int
-    m: int
-    regime: str
-    c_star: float
-    b_hat: float = 1.0
-
-    def __post_init__(self):
-        if not 1 < self.m < self.n:
-            raise DomainError(f"need 1 < m < n, got m={self.m}, n={self.n}")
-        if self.regime not in ("ne", "ergodic"):
-            raise DomainError(f"unknown regime {self.regime!r}")
-        if self.b_hat <= 0:
-            raise DomainError("b_hat must be positive")
-
-    @property
-    def blocks(self) -> list[range]:
-        return [range(i, i + self.m) for i in range(self.n - self.m + 1)]
 
 
 @dataclass(frozen=True)
@@ -90,15 +66,12 @@ class CalibrationCurve:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one calibrated test, with provenance."""
+    """Outcome of one calibrated test."""
 
     statistic: float
     threshold: float
     rejected: bool
     regime: str = ""
-    alpha_hat: float = math.nan
-    m: int = 0
-    seed_used: int = 0
 
 
 def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,

@@ -127,9 +127,7 @@ def _cmd_simulate(args) -> int:
     else:
         spec = simulate.DependenceSpec.non_ergodic()
     x = simulate.generate(spec, args.n, args.p, args.seed)
-    lines = [f"# n={args.n} p={args.p} kind={args.kind} seed={args.seed}"]
-    lines += [",".join(repr(float(v)) for v in row) for row in x]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(simulate._format_matrix_csv(x, args.kind, args.seed), args.out)
     return EXIT_OK
 
 
@@ -164,10 +162,9 @@ def _cmd_experiment(args) -> int:
     for cfg in configs:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        cfg = replace(cfg, threads=args.threads)
         if out_path is None:
             out_path = cfg.output_path
-        rows.extend(experiments.run_experiment(cfg))
+        rows.extend(experiments.run_experiment(cfg, threads=args.threads))
     _emit(experiments.rows_to_csv(rows), out_path)
     return EXIT_OK
 

@@ -130,6 +130,14 @@ def _moments(x):
     """
     mean = x.mean(axis=-2)
     var = np.mean((x - mean[..., None, :]) ** 2, axis=-2)
+    # A constant column whose mean does not round back to the constant
+    # keeps a variance of rounding size, below (2 n eps mean)^2, and so a
+    # huge delta.  Only columns that small are checked for equal entries.
+    small = var <= (2 * x.shape[-2] * np.finfo(float).eps * mean) ** 2
+    if small.any():
+        cols = np.moveaxis(x, -2, -1)[small]
+        var[small] = np.where(np.all(cols == cols[:, :1], axis=1), 0.0,
+                              var[small])
     delta = np.zeros_like(var)
     np.divide(1.0, var, out=delta, where=var > 0)
     return mean, var, delta

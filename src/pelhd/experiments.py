@@ -18,7 +18,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,9 +38,6 @@ from .simulate import DependenceSpec, generate
 
 __all__ = [
     "ExperimentConfig",
-    "run_level_experiment",
-    "run_power_experiment",
-    "run_calibration_compare",
     "run_experiment",
     "load_experiment_configs",
     "parse_flat_config",
@@ -77,7 +75,6 @@ class ExperimentConfig:
     seed: int = 0
     mu1_scale: float = 1.0
     output_path: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -98,8 +95,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown m-rule {rule!r}")
             if c0 <= 0:
                 raise ConfigError(f"m-rule constant must be positive, got {c0}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.mode == "calibration-compare":
             if self.dependence.decay_exponent <= 0.5:
                 raise ConfigError(
@@ -122,7 +117,7 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        """Hash of the scientific fields (output path and threads excluded)."""
+        """Hash of the scientific fields (the output path excluded)."""
         dep = self.dependence
         parts = [
             f"mode={self.mode}", f"n={self.n}", f"p={self.p}",
@@ -147,24 +142,38 @@ def _mu1(cfg: ExperimentConfig) -> np.ndarray:
     return mu
 
 
-def _replicate_decisions(cfg: ExperimentConfig, rep: int,
-                         shift: np.ndarray | None) -> np.ndarray:
-    """Rejection indicators for one replicate, shape (n_m_rules, n_levels).
+def _row_labels(cfg: ExperimentConfig) -> list[tuple[str, float]]:
+    """(m_rule, c0) of each result row: the m-rules, then Normal in compare mode."""
+    labels = list(cfg.m_rules)
+    if cfg.mode == "calibration-compare":
+        labels.append(("normal", 0.0))
+    return labels
 
-    Failed cells are NaN.  The statistic and curve route follow the
-    dependence regime: raw statistic against the NE curve, or the centered
-    and p^(alpha_hat ^ 1/2)-scaled statistic against the ergodic curve
-    with alpha_hat = 2 - 2*Hurst.
+
+def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
+    """Rejection indicators of one replicate, shape (n_rows, n_levels).
+
+    Rows follow ``_row_labels``; failed cells are NaN.  Power runs shift
+    the null data by mu1 and test H0: mu = 0.  The statistic and curve
+    route follow the dependence regime: raw statistic against the NE
+    curve, or the centered and p^(alpha_hat ^ 1/2)-scaled statistic
+    against the ergodic curve with alpha_hat = 2 - 2*Hurst.  In compare
+    mode the last row is the Normal route, which rejects iff
+    sqrt(p) (K_n - c*) > kappa_hat z_(1-a) with kappa_hat^2 from the
+    lag-autocorrelation plug-in; it needs no alpha_hat.
     """
-    out = np.full((len(cfg.m_rules), len(cfg.levels)), np.nan)
+    out = np.full((len(_row_labels(cfg)), len(cfg.levels)), np.nan)
     pel_cfg = cfg.pel_config()
     mu0 = np.zeros(cfg.p)
     try:
         x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, rep))
-        if shift is not None:
-            x = x + shift
+        if cfg.mode == "power":
+            x = x + _mu1(cfg)
         data = compute_column_stats(x)
         kn = solve_pel(data, mu0, pel_cfg).stat
+    except PelhdError:
+        return out
+    try:
         if cfg.is_ne:
             alpha_hat = 0.0
             statistic = kn
@@ -172,8 +181,11 @@ def _replicate_decisions(cfg: ExperimentConfig, rep: int,
             alpha_hat = estimate_alpha_hurst(data)
             statistic = cfg.p ** min(alpha_hat, 0.5) * (kn - cfg.c_star)
     except PelhdError:
-        return out
-    for i, m in enumerate(cfg.subsample_sizes()):
+        # e.g. p < 16 for the Hurst grid: the subsampling rows stay NaN
+        m_sizes = ()
+    else:
+        m_sizes = cfg.subsample_sizes()
+    for i, m in enumerate(m_sizes):
         try:
             if cfg.is_ne:
                 curve = build_curve_ne(data, mu0, m, pel_cfg)
@@ -183,72 +195,25 @@ def _replicate_decisions(cfg: ExperimentConfig, rep: int,
                 out[i, j] = float(decide(statistic, curve, level).rejected)
         except PelhdError:
             continue
-    return out
-
-
-def _replicate_compare(cfg: ExperimentConfig, rep: int) -> np.ndarray:
-    """Subsampling and Normal-calibration decisions for one replicate.
-
-    Rows: one per m-rule (subsampling), then one final row for the Normal
-    route, which rejects iff sqrt(p) (K_n - c*) > kappa_hat z_(1-a) with
-    kappa_hat^2 from the lag-autocorrelation plug-in.
-    """
-    out = np.full((len(cfg.m_rules) + 1, len(cfg.levels)), np.nan)
-    pel_cfg = cfg.pel_config()
-    mu0 = np.zeros(cfg.p)
-    try:
-        x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, rep))
-        data = compute_column_stats(x)
-        kn = solve_pel(data, mu0, pel_cfg).stat
-    except PelhdError:
-        return out
-    try:
-        alpha_hat = estimate_alpha_hurst(data)
-    except PelhdError:
-        # e.g. p < 16: the subsampling rows stay NaN, while the Normal
-        # route below needs no alpha_hat
-        m_sizes = ()
-    else:
-        m_sizes = cfg.subsample_sizes()
-        statistic = cfg.p ** min(alpha_hat, 0.5) * (kn - cfg.c_star)
-    for i, m in enumerate(m_sizes):
+    if cfg.mode == "calibration-compare":
         try:
-            curve = build_curve_ergodic(data, mu0, m, alpha_hat, pel_cfg)
+            kappa_hat = math.sqrt(estimate_kappa_sq_plugin(data, cfg.c_star))
+            z = math.sqrt(cfg.p) * (kn - cfg.c_star)
             for j, level in enumerate(cfg.levels):
-                out[i, j] = float(decide(statistic, curve, level).rejected)
+                out[-1, j] = float(z > kappa_hat * ndtri(1.0 - level))
         except PelhdError:
-            continue
-    try:
-        kappa_hat = math.sqrt(estimate_kappa_sq_plugin(data, cfg.c_star))
-        z = math.sqrt(cfg.p) * (kn - cfg.c_star)
-        for j, level in enumerate(cfg.levels):
-            out[-1, j] = float(z > kappa_hat * ndtri(1.0 - level))
-    except PelhdError:
-        pass
+            pass
     return out
 
 
-def _replicate_task(args):
-    cfg, rep, kind = args
-    if kind == "compare":
-        return rep, _replicate_compare(cfg, rep)
-    shift = _mu1(cfg) if kind == "power" else None
-    return rep, _replicate_decisions(cfg, rep, shift)
-
-
-def _run_replicates(cfg: ExperimentConfig, kind: str) -> np.ndarray:
+def _run_replicates(cfg: ExperimentConfig, threads: int) -> np.ndarray:
     """All replicates, stacked (n_replicates, n_rows, n_levels), order fixed."""
-    tasks = [(cfg, rep, kind) for rep in range(cfg.n_replicates)]
-    n_rows = len(cfg.m_rules) + (1 if kind == "compare" else 0)
-    stacked = np.full((cfg.n_replicates, n_rows, len(cfg.levels)), np.nan)
-    if cfg.threads == 1:
-        for rep, arr in map(_replicate_task, tasks):
-            stacked[rep] = arr
-        return stacked
-    with _worker_pool(cfg.threads) as pool:
-        for rep, arr in pool.map(_replicate_task, tasks, chunksize=8):
-            stacked[rep] = arr
-    return stacked
+    task = partial(_replicate, cfg)
+    reps = range(cfg.n_replicates)
+    if threads == 1:
+        return np.stack([task(rep) for rep in reps])
+    with _worker_pool(threads) as pool:
+        return np.stack(list(pool.map(task, reps, chunksize=8)))
 
 
 @contextmanager
@@ -276,11 +241,10 @@ def _worker_pool(workers: int):
                 os.environ[key] = value
 
 
-def _aggregate(cfg: ExperimentConfig, stacked: np.ndarray,
-               row_labels: list[tuple[str, float]]) -> list[dict]:
+def _aggregate(cfg: ExperimentConfig, stacked: np.ndarray) -> list[dict]:
     rows = []
     chash = cfg.config_hash()
-    for i, (rule, c0) in enumerate(row_labels):
+    for i, (rule, c0) in enumerate(_row_labels(cfg)):
         for j, level in enumerate(cfg.levels):
             cell = stacked[:, i, j]
             ok = ~np.isnan(cell)
@@ -302,42 +266,16 @@ def _aggregate(cfg: ExperimentConfig, stacked: np.ndarray,
     return rows
 
 
-def run_level_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Empirical rejection rates under the null, one row per (m-rule, level)."""
-    if cfg.mode != "level":
-        raise ConfigError(f"expected mode 'level', got {cfg.mode!r}")
-    stacked = _run_replicates(cfg, "level")
-    return _aggregate(cfg, stacked, list(cfg.m_rules))
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
+    """Rejection rates of ``cfg``, one row per (result row, level).
 
-
-def run_power_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Empirical power against the half-shifted alternative.
-
-    Null data are shifted by mu1 and tested against H0: mu = 0; a_hat is
-    the rejection rate (the power).
+    a_hat is the empirical level in level and compare mode and the power
+    in power mode.  ``threads`` > 1 runs the replicates in a process pool;
+    the rows do not depend on it.
     """
-    if cfg.mode != "power":
-        raise ConfigError(f"expected mode 'power', got {cfg.mode!r}")
-    stacked = _run_replicates(cfg, "power")
-    return _aggregate(cfg, stacked, list(cfg.m_rules))
-
-
-def run_calibration_compare(cfg: ExperimentConfig) -> list[dict]:
-    """Side-by-side subsampling (per m-rule) and Normal calibration levels."""
-    if cfg.mode != "calibration-compare":
-        raise ConfigError(
-            f"expected mode 'calibration-compare', got {cfg.mode!r}")
-    stacked = _run_replicates(cfg, "compare")
-    labels = list(cfg.m_rules) + [("normal", 0.0)]
-    return _aggregate(cfg, stacked, labels)
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    if cfg.mode == "level":
-        return run_level_experiment(cfg)
-    if cfg.mode == "power":
-        return run_power_experiment(cfg)
-    return run_calibration_compare(cfg)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    return _aggregate(cfg, _run_replicates(cfg, threads))
 
 
 def _fmt(value) -> str:

@@ -17,8 +17,10 @@ Seeds may be ints or numpy SeedSequence/Generator objects; identical
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -177,25 +179,19 @@ def ne_correlation(q: int) -> np.ndarray:
     return cov / np.outer(d, d)
 
 
-_LRD_CACHE: dict[tuple[int, float], LrdCorrelation] = {}
-
-
+@functools.lru_cache(maxsize=3)
 def lrd_correlation(p: int, alpha: float) -> LrdCorrelation:
     """Correlation sequence rho_alpha(k), k < p, and Cholesky of its Toeplitz.
 
     rho(k) ~ C k^{-alpha}; the matrix is positive definite for
     H = (2-alpha)/2 in (1/2, 1).  A 1e-12 diagonal jitter is retried once
-    if rounding spoils the factorization; NumericError otherwise.
+    if rounding spoils the factorization; NumericError otherwise.  The
+    three most recently used (p, alpha) pairs are cached.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if p < 1:
         raise DimensionError("p must be >= 1")
-    key = (p, float(alpha))
-    cached = _LRD_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     two_h = 2.0 - alpha
     k = np.arange(p, dtype=float)
     rho = np.empty(p)
@@ -216,11 +212,7 @@ def lrd_correlation(p: int, alpha: float) -> LrdCorrelation:
             ) from exc
     rho.setflags(write=False)
     u.setflags(write=False)
-    out = LrdCorrelation(rho=rho, chol_upper=u)
-    if len(_LRD_CACHE) >= 3:
-        _LRD_CACHE.pop(next(iter(_LRD_CACHE)))
-    _LRD_CACHE[key] = out
-    return out
+    return LrdCorrelation(rho=rho, chol_upper=u)
 
 
 def gen_lrd(n: int, p: int, alpha: float, seed) -> np.ndarray:
@@ -273,40 +265,35 @@ def arma_autocorrelations(ar, ma, nlags: int, n_psi: int = 4096) -> np.ndarray:
     far below rounding error at the default.
     """
     _check_causal(ar)
-    a = np.asarray(ar, dtype=float)
-    b = np.asarray(ma, dtype=float)
-    psi = np.zeros(n_psi)
-    psi[0] = 1.0
-    for j in range(1, n_psi):
-        acc = b[j - 1] if j - 1 < b.size else 0.0
-        for i in range(a.size):
-            if j - 1 - i >= 0:
-                acc += a[i] * psi[j - 1 - i]
-        psi[j] = acc
+    impulse = np.zeros(n_psi)
+    impulse[0] = 1.0
+    psi = scipy.signal.lfilter([1.0, *ma], [1.0, *(-a for a in ar)], impulse)
     gamma = np.array(
         [psi[: n_psi - k] @ psi[k:] for k in range(nlags + 1)]
     )
     return gamma / gamma[0]
 
 
+def _format_matrix_csv(x: np.ndarray, kind: str = "", seed=None) -> str:
+    """A data matrix as CSV text with a one-line ``#`` metadata header."""
+    n, p = x.shape
+    lines = [f"# n={n} p={p} kind={kind} seed={seed}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in x]
+    return "\n".join(lines) + "\n"
+
+
 def write_matrix_csv(path, x: np.ndarray, kind: str = "", seed=None) -> None:
     """Dump a data matrix as CSV with a one-line ``#`` metadata header."""
-    n, p = x.shape
     with open(path, "w") as fh:
-        fh.write(f"# n={n} p={p} kind={kind} seed={seed}\n")
-        for row in x:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(_format_matrix_csv(x, kind, seed))
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a data matrix written by ``write_matrix_csv`` (``#`` lines skipped)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if not rows:
+    with warnings.catch_warnings():
+        # an empty file is reported below, not as a loadtxt warning
+        warnings.simplefilter("ignore", UserWarning)
+        x = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if x.shape[0] == 0:
         raise DimensionError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=float)
+    return x

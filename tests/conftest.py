@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pelhd import DependenceSpec, ExperimentConfig, run_level_experiment
+from pelhd import DependenceSpec, ExperimentConfig, run_experiment
 
 # Master seed for the acceptance-scale Monte Carlo runs.
 ACCEPT_SEED = 20260810
@@ -30,4 +30,4 @@ def srd_level_run():
         m_rules=(("ergodic", 1.0),),
         n_replicates=500, seed=ACCEPT_SEED,
     )
-    return run_level_experiment(cfg)
+    return run_experiment(cfg)

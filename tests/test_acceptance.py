@@ -10,9 +10,9 @@ exactly as stated and left to report their measured values.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import ks_2samp, kstest
 
 from pelhd import (
@@ -29,9 +29,7 @@ from pelhd import (
     ne_correlation,
     neg_log_pel_ratio,
     rows_to_csv,
-    run_calibration_compare,
-    run_level_experiment,
-    run_power_experiment,
+    run_experiment,
     sample_ne_limit,
     solve_pel,
     subsample_size,
@@ -123,6 +121,7 @@ def test_criterion_03_invariance_suite():
           f"max invariance defect over 50x3 cases = {worst:.2e} (tol 1e-10)")
 
 
+@pytest.mark.slow
 def test_criterion_04_short_range_null_level(srd_level_run):
     row = next(r for r in srd_level_run if r["level"] == 0.05)
     err = row["abs_err"]
@@ -131,17 +130,19 @@ def test_criterion_04_short_range_null_level(srd_level_run):
           f"|0.05 - a_hat| = {err:.4f} (tol 0.03, {row['n_reps']} replicates)")
 
 
+@pytest.mark.slow
 def test_criterion_05_short_range_power():
     cfg = ExperimentConfig(
         mode="power", n=200, p=100, dependence=SRD, c_star=1.0,
         levels=(0.1,), m_rules=(("ergodic", 2.0),),
         n_replicates=300, seed=ACCEPT_SEED, mu1_scale=1.0)
-    rows = run_power_experiment(cfg)
+    rows = run_experiment(cfg)
     power = rows[0]["a_hat"]
     check(5, power >= 0.90,
           f"n=200 p=100 level 0.1 m-rule c0=2: power = {power:.3f} (need >= 0.90)")
 
 
+@pytest.mark.slow
 def test_criterion_06_normal_limit_shape():
     rho = arma_autocorrelations(SRD.ar, SRD.ma, 60)
     kappa = math.sqrt(kappa_squared(rho, 1.0))
@@ -198,13 +199,14 @@ def test_criterion_08_subsampling_consistency():
           f"m=sqrt(n): {['%.3f' % d for d in distances]} (decreasing, 0.02 slack)")
 
 
+@pytest.mark.slow
 def test_criterion_09_subsampling_vs_normal_calibration():
     cfg = ExperimentConfig(
         mode="calibration-compare", n=200, p=80, dependence=SRD, c_star=1.0,
         levels=(0.1,),
         m_rules=(("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0)),
         n_replicates=500, seed=ACCEPT_SEED)
-    rows = run_calibration_compare(cfg)
+    rows = run_experiment(cfg)
     g_err = next(r["abs_err"] for r in rows if r["m_rule"] == "normal")
     ss_err = min(r["abs_err"] for r in rows if r["m_rule"] != "normal")
     ok = ss_err <= 0.25 and g_err <= 0.25 and ss_err <= g_err + 0.05
@@ -237,8 +239,8 @@ def test_criterion_11_thread_count_determinism():
         mode="level", n=60, p=16, dependence=SRD, c_star=1.0,
         levels=(0.05, 0.1), m_rules=(("ergodic", 1.0), ("ergodic", 2.0)),
         n_replicates=30, seed=ACCEPT_SEED)
-    serial = rows_to_csv(run_level_experiment(replace(cfg, threads=1)))
-    pooled = rows_to_csv(run_level_experiment(replace(cfg, threads=2)))
-    again = rows_to_csv(run_level_experiment(replace(cfg, threads=1)))
+    serial = rows_to_csv(run_experiment(cfg, threads=1))
+    pooled = rows_to_csv(run_experiment(cfg, threads=2))
+    again = rows_to_csv(run_experiment(cfg, threads=1))
     ok = serial == pooled == again
     check(11, ok, "results CSV byte-identical for thread counts 1 and 2")

@@ -9,7 +9,6 @@ from pelhd import experiments
 
 from pelhd.calibration import (
     CalibrationCurve,
-    SubsamplingPlan,
     build_curve_ergodic,
     build_curve_ne,
     conservative_reject,
@@ -100,6 +99,14 @@ class TestCurves:
             np.testing.assert_array_equal(
                 curve.block_starts, np.arange(12 - m + 1))
         assert len(build_curve_ne(dm, np.zeros(4), 11, CFG)) == 2
+
+    def test_block_size_outside_1_n_rejected(self):
+        dm = compute_column_stats(rng_for("curve", 0).normal(size=(12, 4)))
+        for m in (1, 12):
+            with pytest.raises(DomainError):
+                build_curve_ne(dm, np.zeros(4), m, CFG)
+            with pytest.raises(DomainError):
+                build_curve_ergodic(dm, np.zeros(4), m, 0.5, CFG)
 
     def test_identical_rows_give_zero_statistics(self):
         x = np.tile([1.0, 2.0, 3.0], (10, 1))
@@ -450,7 +457,7 @@ class TestStackedBlockSolves:
             mode="level", n=60, p=16, dependence=DependenceSpec.non_ergodic(),
             levels=(0.05, 0.1), m_rules=(("ne-sqrt", 1.0), ("ne-sqrt", 2.0)),
             n_replicates=1, seed=3)
-        out = experiments._replicate_decisions(cfg, 0, None)
+        out = experiments._replicate(cfg, 0)
         assert out.shape == (2, 2)
         assert np.all(np.isnan(out))
 
@@ -487,20 +494,3 @@ class TestStackedBlockSolves:
             sol = solve_pel(compute_column_stats(x[i:i + m]), mu0, TIGHT)
             assert sol.stat == pytest.approx(
                 curve.block_stats[i], rel=1e-12, abs=1e-12)
-
-
-class TestSubsamplingPlan:
-    def test_blocks_are_contiguous_overlapping(self):
-        plan = SubsamplingPlan(n=10, m=4, regime="ne", c_star=1.0)
-        blocks = plan.blocks
-        assert len(blocks) == 7
-        assert list(blocks[0]) == [0, 1, 2, 3]
-        assert list(blocks[-1]) == [6, 7, 8, 9]
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SubsamplingPlan(n=10, m=1, regime="ne", c_star=1.0)
-        with pytest.raises(DomainError):
-            SubsamplingPlan(n=10, m=10, regime="ne", c_star=1.0)
-        with pytest.raises(DomainError):
-            SubsamplingPlan(n=10, m=4, regime="weird", c_star=1.0)

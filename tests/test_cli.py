@@ -132,6 +132,14 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config",
                        str(tmp_path / "missing.ini")) == EXIT_CONFIG
 
+    def test_zero_threads_exits_2(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "mode = level\ndependence = srd\nn = 40\np = 16\n"
+            "levels = 0.1\nm_rules = ergodic:1\nn_replicates = 2\nseed = 3\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--threads", "0") == EXIT_CONFIG
+
 
 class TestLimitsCommand:
     def test_lrd_draws(self, tmp_path):

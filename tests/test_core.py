@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
     _fixed_point,
@@ -21,7 +22,9 @@ STRESS_KINDS = ("lambda", "far_mu", "near_dup", "cauchy", "constant")
 
 # K_n of stress_instance(k), k = 0..39, recorded with the one-problem-at-a-
 # time Newton solver that the stacked kernel replaced; None where that
-# solver raised ConvergenceError.
+# solver raised ConvergenceError.  Instance 34 is the exception: its
+# constant columns had a rounding-size variance and delta near 1e30 then,
+# and its entry is the value with those columns dropped from the penalty.
 STRESS_REFERENCE = (
     0.0006923436048483932, None, 66.05737597786303, 221.11211197965898,
     6.038615366311432, 0.011834829689761175, 234.85103123867881,
@@ -32,7 +35,7 @@ STRESS_REFERENCE = (
     39.87938964780394, 584.0043576892618, 0.4572056062724195,
     464.8770694092247, 111240.0141850745, 0.10291088927165078,
     78.30968172902566, None, 4542.021971517942, None, 2915367262.0492396,
-    59.16785775396417, 5.906094327345275e+31, 0.04052693506614934,
+    59.16785775396417, 3.0849298498527604, 0.04052693506614934,
     2850.9448856164036, 38.481062777043235, 84.07140869533134, None,
 )
 
@@ -238,6 +241,40 @@ class TestSolvePel:
             assert sol.stat == pytest.approx(want, rel=1e-9, abs=0), k
             solved += 1
         assert solved == 33
+
+    def test_constant_columns_drop_out_of_the_penalty(self):
+        """A constant column gets variance and delta exactly 0, so every
+        constant-kind stress instance solves like the same instance with
+        those columns removed and the full-p lambda kept."""
+        kind = STRESS_KINDS.index("constant")
+        for k in range(kind, 400, len(STRESS_KINDS)):
+            x, mu, c_star, _ = stress_instance(k)
+            n, p = x.shape
+            const = np.all(x == x[0], axis=0)
+            data = compute_column_stats(x)
+            assert np.all(data.col_var[const] == 0.0), k
+            assert np.all(data.delta[const] == 0.0), k
+            stat = solve_pel(data, mu, PelConfig(c_star=c_star)).stat
+            if const.all():
+                assert stat == 0.0, k
+                continue
+            reduced = solve_pel(
+                compute_column_stats(x[:, ~const]), mu[~const],
+                PelConfig(c_star=c_star, lam=c_star * n / p)).stat
+            assert stat == pytest.approx(reduced, rel=1e-9, abs=0), k
+
+    def test_constant_columns_drop_out_of_block_windows(self):
+        x, mu, c_star, _ = stress_instance(34)
+        n, p = x.shape
+        m = 9
+        const = np.all(x == x[0], axis=0)
+        curve = build_curve_ne(compute_column_stats(x), mu, m,
+                               PelConfig(c_star=c_star))
+        lam = PelConfig(c_star=c_star, lam=c_star * m / p)
+        for i in (0, n // 2, n - m):
+            block = compute_column_stats(x[i:i + m, ~const])
+            want = solve_pel(block, mu[~const], lam).stat
+            assert curve.block_stats[i] == pytest.approx(want, rel=1e-9), i
 
     def test_fixed_point_agrees_with_newton(self):
         rng = rng_for("solve", 7)

@@ -16,10 +16,7 @@ from pelhd.experiments import (
     load_experiment_configs,
     parse_flat_config,
     rows_to_csv,
-    run_calibration_compare,
     run_experiment,
-    run_level_experiment,
-    run_power_experiment,
 )
 from pelhd.calibration import estimate_kappa_sq_plugin
 from pelhd.simulate import DependenceSpec, arma_autocorrelations, gen_srd_arma
@@ -68,13 +65,9 @@ class TestConfigValidation:
         small_cfg(mode="calibration-compare",
                   dependence=DependenceSpec.long_range(0.8))
 
-    def test_mode_mismatch_caught_by_runners(self):
+    def test_runner_rejects_zero_threads(self):
         with pytest.raises(ConfigError):
-            run_level_experiment(small_cfg(mode="power"))
-        with pytest.raises(ConfigError):
-            run_power_experiment(small_cfg(mode="level"))
-        with pytest.raises(ConfigError):
-            run_calibration_compare(small_cfg(mode="level"))
+            run_experiment(small_cfg(), threads=0)
 
     def test_subsample_sizes_follow_rules(self):
         cfg = small_cfg(n=200, p=100,
@@ -141,7 +134,7 @@ class TestFlatConfigParsing:
 
 class TestLevelExperiment:
     def test_single_replicate_rate_is_binary(self):
-        rows = run_level_experiment(small_cfg(n_replicates=1))
+        rows = run_experiment(small_cfg(n_replicates=1))
         assert rows[0]["a_hat"] in (0.0, 1.0)
         assert rows[0]["n_reps"] == 1
 
@@ -149,7 +142,7 @@ class TestLevelExperiment:
         cfg = small_cfg(
             n=60, p=20, n_replicates=2, levels=(0.05, 0.1),
             m_rules=(("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0)))
-        rows = run_level_experiment(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 3 * 2  # m-rules x levels
         for row in rows:
             assert tuple(row.keys()) == RESULT_COLUMNS
@@ -165,8 +158,8 @@ class TestLevelExperiment:
 
     def test_thread_count_does_not_change_results(self):
         cfg = small_cfg(n_replicates=10)
-        serial = rows_to_csv(run_level_experiment(replace(cfg, threads=1)))
-        pooled = rows_to_csv(run_level_experiment(replace(cfg, threads=2)))
+        serial = rows_to_csv(run_experiment(cfg, threads=1))
+        pooled = rows_to_csv(run_experiment(cfg, threads=2))
         assert serial == pooled
 
     def test_pool_workers_run_blas_single_threaded(self, monkeypatch):
@@ -182,7 +175,6 @@ class TestLevelExperiment:
 
     def test_config_hash_tracks_science_only(self):
         cfg = small_cfg()
-        assert cfg.config_hash() == replace(cfg, threads=4).config_hash()
         assert cfg.config_hash() == replace(
             cfg, output_path="x.csv").config_hash()
         assert cfg.config_hash() != replace(cfg, seed=1).config_hash()
@@ -191,12 +183,13 @@ class TestLevelExperiment:
     def test_ne_route_runs(self):
         cfg = small_cfg(dependence=DependenceSpec.non_ergodic(), n=30, p=16,
                         m_rules=(("ne-sqrt", 1.0),), n_replicates=4)
-        rows = run_level_experiment(cfg)
+        rows = run_experiment(cfg)
         assert rows[0]["alpha"] == 0.0
         assert rows[0]["n_reps"] == 4
 
 
 class TestPowerExperiment:
+    @pytest.mark.slow
     def test_null_shift_recovers_the_level(self):
         """With a zero alternative the power equals the attained level.
 
@@ -208,7 +201,7 @@ class TestPowerExperiment:
             mode="power", n=400, p=20, dependence=SRD, c_star=1.0,
             levels=(0.1,), m_rules=(("ergodic", 2.0),),
             n_replicates=500, seed=9090, mu1_scale=0.0)
-        rows = run_power_experiment(cfg)
+        rows = run_experiment(cfg)
         assert abs(rows[0]["level"] - rows[0]["a_hat"]) <= 0.04
 
     def test_power_nondecreasing_in_shift(self):
@@ -218,7 +211,7 @@ class TestPowerExperiment:
             n_replicates=100, seed=424242, mu1_scale=0.5)
         powers = []
         for scale in (0.5, 1.0, 2.0):
-            rows = run_power_experiment(replace(base, mu1_scale=scale))
+            rows = run_experiment(replace(base, mu1_scale=scale))
             powers.append(rows[0]["a_hat"])
         assert powers[0] <= powers[1] + 0.03
         assert powers[1] <= powers[2] + 0.03
@@ -230,7 +223,7 @@ class TestCalibrationCompare:
         cfg = small_cfg(mode="calibration-compare", n=60, p=20,
                         n_replicates=3,
                         m_rules=(("ergodic", 1.0), ("ergodic", 2.0)))
-        rows = run_calibration_compare(cfg)
+        rows = run_experiment(cfg)
         rules = [(r["m_rule"], r["c0"]) for r in rows]
         assert ("normal", 0.0) in rules
         assert ("ergodic", 1.0) in rules and ("ergodic", 2.0) in rules

@@ -152,6 +152,7 @@ class TestLrdLimitSampler:
             with pytest.raises(DomainError):
                 sample_lrd_limit(alpha, 256, 10, 0)
 
+    @pytest.mark.slow
     def test_surrogate_length_self_convergence(self):
         """Doubling the surrogate length moves the 95th percentile < 2%.
 

@@ -84,6 +84,12 @@ class TestLrdCorrelation:
         with pytest.raises(DomainError):
             lrd_correlation(10, 0.0)
 
+    def test_cached_and_read_only(self):
+        lc = lrd_correlation(32, 0.4)
+        assert lrd_correlation(32, 0.4) is lc
+        assert not lc.rho.flags.writeable
+        assert not lc.chol_upper.flags.writeable
+
     def test_cholesky_reconstructs(self):
         lc = lrd_correlation(80, 0.5)
         r = scipy.linalg.toeplitz(lc.rho)
@@ -174,6 +180,18 @@ class TestArmaAutocorrelations:
         gamma = arma_autocovariance((-0.4, 0.1), (0.3, 0.5, 0.1), 10)
         np.testing.assert_allclose(rho, gamma / gamma[0], rtol=1e-10)
         assert rho[0] == 1.0
+
+    @pytest.mark.parametrize("ar, ma", [
+        ((-0.4, 0.1), (0.3, 0.5, 0.1)),
+        ((0.5, -0.3), (0.0, 0.0, 0.0)),
+        ((0.9, 0.0), (0.2,)),
+        ((0.0, 0.0), (0.3, 0.5, 0.1)),
+    ])
+    def test_equals_the_unrolled_recursion_exactly(self, ar, ma):
+        # the filter runs the same recursion in the same order as the loop
+        gamma = arma_autocovariance(ar, ma, 400, n_terms=4096)
+        np.testing.assert_array_equal(
+            arma_autocorrelations(ar, ma, 400), gamma / gamma[0])
 
     def test_white_noise(self):
         rho = arma_autocorrelations((0.0, 0.0), (0.0, 0.0, 0.0), 5)
