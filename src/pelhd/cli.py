@@ -113,19 +113,10 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.kind == "lrd":
-        if args.alpha is None:
-            raise ConfigError("--alpha is required for --kind lrd")
-        spec = simulate.DependenceSpec.long_range(args.alpha)
-    elif args.kind == "srd":
-        kwargs = {"burn_in": args.burn_in}
-        if args.ar:
-            kwargs["ar"] = tuple(float(v) for v in args.ar.split(","))
-        if args.ma:
-            kwargs["ma"] = tuple(float(v) for v in args.ma.split(","))
-        spec = simulate.DependenceSpec.short_range_arma(**kwargs)
-    else:
-        spec = simulate.DependenceSpec.non_ergodic()
+    keys = {"dependence": args.kind, "alpha": args.alpha, "ar": args.ar,
+            "ma": args.ma, "burn_in": args.burn_in}
+    spec = experiments._dependence_from(
+        {k: str(v) for k, v in keys.items() if v is not None})
     x = simulate.generate(spec, args.n, args.p, args.seed)
     _emit(simulate._format_matrix_csv(x, args.kind, args.seed), args.out)
     return EXIT_OK

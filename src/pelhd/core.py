@@ -23,9 +23,8 @@ Once the squared Newton decrement -g'd is below 1/16 the step is in the
 pure-Newton phase of this self-concordant objective and is taken in full,
 so convergence does not hinge on comparing objective values that differ by
 less than their rounding; larger steps backtrack to an Armijo decrease.  A
-problem leaves the stack once its KKT residual is below ``newton_tol``.
-Problems Newton leaves unconverged go one at a time to a damped
-fixed-point sweep on the stationarity equations.
+problem leaves the stack once its KKT residual is below ``newton_tol``;
+one that Newton leaves unconverged is reported as such.
 """
 
 from __future__ import annotations
@@ -78,20 +77,19 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class PelConfig:
-    """Penalty level and solver knobs.
+    """Penalty level and Newton budget.
 
     ``lam`` is the penalty factor; when ``None`` it is resolved per data
     set as ``c_star * n / p``.  Tolerances follow the statistic's use in
     log-scale comparisons: the KKT residual (max-norm of the gradient
     projected onto the simplex tangent space) must drop below
-    ``newton_tol``.
+    ``newton_tol`` within ``max_newton_iters`` Newton iterations.
     """
 
     c_star: float = 1.0
     lam: float | None = None
     newton_tol: float = 1e-10
     max_newton_iters: int = 100
-    max_fixed_point_iters: int = 10_000
 
     def __post_init__(self):
         if not self.c_star > 0:
@@ -100,8 +98,8 @@ class PelConfig:
             raise DomainError(f"lam must be >= 0, got {self.lam}")
         if self.newton_tol <= 0:
             raise DomainError("newton_tol must be positive")
-        if self.max_newton_iters < 1 or self.max_fixed_point_iters < 1:
-            raise DomainError("iteration budgets must be positive")
+        if self.max_newton_iters < 1:
+            raise DomainError("max_newton_iters must be positive")
 
     def penalty(self, n: int, p: int) -> float:
         """The penalty factor lambda_n for an n x p data set."""
@@ -162,6 +160,16 @@ def compute_column_stats(values) -> DataMatrix:
     return DataMatrix(values=x, col_mean=mean, col_var=var, delta=delta)
 
 
+def _criterion(pi, gpi):
+    """-sum log(n pi) + pi'G pi / 2 for each row of a (B, n) stack.
+
+    ``gpi`` holds the products G pi, G = 2 lambda Ytil Ytil', so the second
+    term is the penalty lambda ||Ytil' pi||^2 = lambda sum_j delta_j M_j^2.
+    """
+    return (-np.sum(np.log(pi.shape[1] * pi), axis=1)
+            + 0.5 * np.einsum("ij,ij->i", pi, gpi))
+
+
 def objective(pi, data: DataMatrix, mu, cfg: PelConfig) -> float:
     """Evaluate -sum log(n pi_i) + lambda sum_j delta_j M_j^2 at ``pi``.
 
@@ -171,17 +179,9 @@ def objective(pi, data: DataMatrix, mu, cfg: PelConfig) -> float:
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0):
         raise DomainError("all simplex weights must be strictly positive")
-    n = data.n
-    lam = cfg.penalty(n, data.p)
-    m = (data.values - np.asarray(mu, dtype=float)).T @ pi
-    return float(-np.sum(np.log(n * pi)) + lam * np.dot(data.delta, m**2))
-
-
-def _kkt_residual(pi, ytil, lam) -> float:
-    """Max-norm of the objective gradient projected onto {x : sum x = 0}."""
-    g = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
-    g -= g.mean()
-    return float(np.max(np.abs(g)))
+    ytil = (data.values - np.asarray(mu, dtype=float)) * np.sqrt(data.delta)
+    gpi = 2.0 * cfg.penalty(data.n, data.p) * (ytil @ (ytil.T @ pi))
+    return float(_criterion(pi[None], gpi[None])[0])
 
 
 def _matvec(gram, pi):
@@ -306,46 +306,11 @@ def _newton(pi, gram, tol, max_iters):
     return pi, iterations, converged, residual
 
 
-def _fixed_point(pi, ytil, lam, n, tol, max_iters):
-    """Damped sweep of the stationarity equations.
-
-    Each weight is updated to 1/[n(1 + 2 gamma sum_j delta_j M_j Y_kj
-    - 2 gamma sum_j delta_j M_j^2)], gamma = lambda/n, then averaged with
-    the previous iterate (weight 0.5, shrunk geometrically whenever the
-    KKT residual rises, so 2-cycles near the boundary get damped out) and
-    renormalized to the simplex.  Linear rate, but robust far from the
-    optimum.
-    """
-    gamma = lam / n
-    weight = 0.5
-    residual = _kkt_residual(pi, ytil, lam)
-    for it in range(max_iters):
-        m = ytil.T @ pi
-        cross = ytil @ m
-        denom = 1.0 + 2.0 * gamma * cross - 2.0 * gamma * (m @ m)
-        # at any stationary point denom_k = 1/(n pi_k) > 1/n, so this floor
-        # only tames transients and never excludes a solution
-        np.maximum(denom, 0.5 / n, out=denom)
-        proposal = 1.0 / (n * denom)
-        pi = (1.0 - weight) * pi + weight * proposal
-        pi = pi / pi.sum()
-        new_residual = _kkt_residual(pi, ytil, lam)
-        if new_residual < tol:
-            return pi, it + 1, True, new_residual
-        if new_residual > residual:
-            weight = max(weight * 0.5, 1e-4)
-        else:
-            weight = min(weight * 1.2, 0.5)
-        residual = new_residual
-    return pi, max_iters, False, residual
-
-
 def _solve_stack(ytil, lam, cfg: PelConfig):
     """Minimize the PEL criterion of B same-shape problems at once.
 
     ``ytil`` (B, n, p) stacks Ytil_b = (X_b - mu) sqrt(delta_b).  Every row
-    starts at the uniform weights and runs the stacked Newton; a row that
-    Newton leaves unconverged goes on to the fixed-point sweep alone.
+    starts at the uniform weights and runs the stacked Newton.
 
     Returns (pi, stat, iterations, converged, residual), one entry per row;
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
@@ -356,13 +321,7 @@ def _solve_stack(ytil, lam, cfg: PelConfig):
     gram *= 2.0 * lam
     pi, iters, ok, res = _newton(np.full((n_rows, n), 1.0 / n), gram,
                                  cfg.newton_tol, cfg.max_newton_iters)
-    for b in np.flatnonzero(~ok):
-        pi[b], extra, ok[b], res[b] = _fixed_point(
-            pi[b], ytil[b], lam, n, cfg.newton_tol, cfg.max_fixed_point_iters)
-        iters[b] += extra
-    # the penalty lambda sum_j delta_j M_j^2 equals pi'G pi / 2
-    stat = -np.sum(np.log(n * pi), axis=1) + 0.5 * np.einsum(
-        "ij,ij->i", pi, _matvec(gram, pi))
+    stat = _criterion(pi, _matvec(gram, pi))
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
     # no penalty at all (lambda = 0 or every delta = 0): the uniform start
     # is optimal and K_n is exactly 0
@@ -386,8 +345,8 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     -------
     PelSolution
         Unique minimizer (strict convexity), the statistic, and solver
-        diagnostics.  Raises ConvergenceError if both Newton and the
-        fixed-point fallback exhaust their budgets.
+        diagnostics.  Raises ConvergenceError, carrying Newton's best
+        weights and residual, if Newton does not reach ``newton_tol``.
     """
     mu = np.asarray(mu, dtype=float)
     n, p = data.n, data.p

@@ -108,7 +108,7 @@ def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
             f"rho0_grid is not PSD (min eigenvalue {evals.min():.3e})")
     root = evecs * np.sqrt(np.clip(evals, 0.0, None))
 
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((q, n_draws))
     z = root @ g
     a = np.eye(q) + (2.0 * c_star / q) * r
@@ -130,7 +130,7 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     if p_surrogate < 2:
         raise DimensionError("p_surrogate must be >= 2")
     u = lrd_correlation(p_surrogate, alpha).chol_upper
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     scale = c_star * p_surrogate ** (alpha - 1.0)
     out = np.empty(n_draws)
     batch = max(1, min(n_draws, 2_000_000 // p_surrogate))

@@ -51,12 +51,6 @@ _NE_WEIGHT = math.e + 1.0
 _NE_TERMS = 31
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class DependenceSpec:
     """Tagged description of a generating process: NE | LRD(alpha) | SRD(arma).
@@ -122,6 +116,8 @@ def _as_sigma(sigma):
 
 
 def _check_causal(ar):
+    if len(ar) != 2:
+        raise ParameterError(f"ar must hold 2 coefficients, got {ar}")
     a1, a2 = ar
     # 1 - a1 z - a2 z^2 must have all roots outside the unit disk.
     if a2 == 0:
@@ -160,7 +156,7 @@ def gen_non_ergodic(n: int, p: int, seed, sigma=None) -> np.ndarray:
     if n < 1 or p < 1:
         raise DimensionError("n and p must be >= 1")
     phi = ne_basis(np.arange(1, p + 1) / p)
-    z = _rng(seed).standard_normal((n, _NE_TERMS))
+    z = np.random.default_rng(seed).standard_normal((n, _NE_TERMS))
     x = _NE_WEIGHT * (z @ phi)
     if sigma is not None:
         x *= np.asarray(sigma, dtype=float)
@@ -220,7 +216,7 @@ def gen_lrd(n: int, p: int, alpha: float, seed) -> np.ndarray:
     if n < 1:
         raise DimensionError("n must be >= 1")
     u = lrd_correlation(p, alpha).chol_upper
-    z = _rng(seed).standard_normal((n, p))
+    z = np.random.default_rng(seed).standard_normal((n, p))
     return z @ u
 
 
@@ -235,7 +231,7 @@ def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
         raise DimensionError("n and p must be >= 1")
     _check_causal(spec.ar)
     a1, a2 = spec.ar
-    eps = _rng(seed).standard_normal((n, spec.burn_in + p))
+    eps = np.random.default_rng(seed).standard_normal((n, spec.burn_in + p))
     series = scipy.signal.lfilter([1.0, *spec.ma], [1.0, -a1, -a2], eps, axis=1)
     return np.ascontiguousarray(series[:, spec.burn_in:])
 
@@ -293,7 +289,10 @@ def read_matrix_csv(path) -> np.ndarray:
     with warnings.catch_warnings():
         # an empty file is reported below, not as a loadtxt warning
         warnings.simplefilter("ignore", UserWarning)
-        x = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        try:
+            x = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise DimensionError(f"malformed data in {path}: {exc}") from exc
     if x.shape[0] == 0:
         raise DimensionError(f"no data rows in {path}")
     return x

@@ -48,9 +48,9 @@ from conftest import rng_for
 CFG = PelConfig(c_star=1.0)
 SPEC_SRD = DependenceSpec.short_range_arma()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# Newton and fixed-point budgets of 1: any block that is not solved at the
-# uniform start fails.
-TIGHT = PelConfig(c_star=1.0, max_newton_iters=1, max_fixed_point_iters=1)
+# A Newton budget of 1: any block that is not solved at the uniform start
+# fails.
+TIGHT = PelConfig(c_star=1.0, max_newton_iters=1)
 
 
 def _curve(values, regime="ne"):
@@ -451,8 +451,7 @@ class TestStackedBlockSolves:
         monkeypatch.setattr(
             experiments, "build_curve_ne",
             lambda data, mu0, m, cfg: real(
-                data, mu0, m, replace(cfg, max_newton_iters=1,
-                                      max_fixed_point_iters=1)))
+                data, mu0, m, replace(cfg, max_newton_iters=1)))
         cfg = ExperimentConfig(
             mode="level", n=60, p=16, dependence=DependenceSpec.non_ergodic(),
             levels=(0.05, 0.1), m_rules=(("ne-sqrt", 1.0), ("ne-sqrt", 2.0)),

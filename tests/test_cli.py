@@ -39,6 +39,17 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("ar", ["0.1", "0.1,x"])
+    def test_bad_ar_is_config_error(self, tmp_path, ar):
+        rc = run_cli("simulate", "--kind", "srd", "--ar", ar,
+                     "--n", "4", "--p", "3", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+
+
+# a ragged file and one with a non-numeric cell
+MALFORMED_CSV = {"ragged": "1,2\n3\n", "non_numeric": "1,a\n"}
+
 
 class TestStatCommand:
     def test_zero_mean_data_nonnegative_statistic(self, tmp_path, capsys):
@@ -70,6 +81,18 @@ class TestStatCommand:
 
     def test_missing_file(self):
         assert run_cli("stat", "--data", "/nonexistent/x.csv") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", MALFORMED_CSV)
+    def test_malformed_file_is_config_error(self, tmp_path, kind):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(MALFORMED_CSV[kind])
+        good = tmp_path / "d.csv"
+        good.write_text("0.5,1.0\n-0.5,2.0\n1.5,0.0\n")
+        assert run_cli("stat", "--data", str(bad)) == EXIT_CONFIG
+        assert run_cli("stat", "--data", str(good),
+                       "--mu", str(bad)) == EXIT_CONFIG
+        assert run_cli("calibrate", "--data", str(bad),
+                       "--m", "2") == EXIT_CONFIG
 
 
 class TestCalibrateCommand:

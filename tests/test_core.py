@@ -6,7 +6,7 @@ import pytest
 from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
-    _fixed_point,
+    _kkt_solve,
     compute_column_stats,
     neg_log_pel_ratio,
     objective,
@@ -221,11 +221,33 @@ class TestSolvePel:
 
     def test_budget_exhaustion_raises_with_diagnostics(self):
         dm, mu = random_instance(rng_for("solve", 6), n=8, p=2)
-        cfg = PelConfig(c_star=2.0, max_newton_iters=1, max_fixed_point_iters=1)
+        cfg = PelConfig(c_star=2.0, max_newton_iters=1)
         with pytest.raises(ConvergenceError) as err:
             solve_pel(dm, mu + 5.0, cfg)
         assert err.value.best_pi.shape == (8,)
         assert err.value.residual > 0
+
+    def test_uncertified_instance_raises_after_newton(self):
+        """Newton's best iterate and residual come back at once when it
+        cannot certify an instance within max_newton_iters; no second
+        solver runs after it."""
+        x, mu, c_star, lam = stress_instance(1)
+        cfg = PelConfig(c_star=c_star, lam=lam)
+        with pytest.raises(ConvergenceError) as err:
+            solve_pel(compute_column_stats(x), mu, cfg)
+        assert f"after {cfg.max_newton_iters} iterations" in str(err.value)
+        best = err.value.best_pi
+        assert best.shape == (x.shape[0],)
+        assert np.all(best > 0) and abs(best.sum() - 1.0) < 1e-12
+        assert err.value.residual > cfg.newton_tol
+
+    def test_singular_kkt_system_fails_its_row_only(self):
+        eye = np.eye(2)
+        out = _kkt_solve(np.stack([eye, 0.0 * eye, 2.0 * eye]),
+                         np.ones((3, 2, 1)))
+        np.testing.assert_array_equal(out[0], 1.0)
+        assert np.all(np.isnan(out[1]))
+        np.testing.assert_array_equal(out[2], 0.5)
 
     def test_stress_corpus_keeps_reference_solutions(self):
         """Every stress instance the reference solver solved is still
@@ -275,19 +297,6 @@ class TestSolvePel:
             block = compute_column_stats(x[i:i + m, ~const])
             want = solve_pel(block, mu[~const], lam).stat
             assert curve.block_stats[i] == pytest.approx(want, rel=1e-9), i
-
-    def test_fixed_point_agrees_with_newton(self):
-        rng = rng_for("solve", 7)
-        for _ in range(10):
-            dm, mu = random_instance(rng, n=int(rng.integers(3, 12)))
-            lam = float(rng.uniform(0.2, 2.5))
-            ytil = (dm.values - mu) * np.sqrt(dm.delta)
-            pi, _, ok, res = _fixed_point(
-                np.full(dm.n, 1.0 / dm.n), ytil, lam, dm.n, 1e-10, 10_000)
-            assert ok and res < 1e-10
-            sol = solve_pel(dm, mu, PelConfig(c_star=1.0, lam=lam))
-            fp_obj = objective_direct(pi, dm.values - mu, dm.delta, lam)
-            assert fp_obj == pytest.approx(sol.stat, abs=1e-9)
 
 
 class TestStatisticProperties:

@@ -225,6 +225,9 @@ class TestDeterminismAndDispatch:
             DependenceSpec(kind="weird")
         with pytest.raises(ParameterError):
             DependenceSpec.short_range_arma(sigma=[1.0, -1.0])
+        for ar in ((0.1,), (0.1, 0.1, 0.1)):
+            with pytest.raises(ParameterError):
+                DependenceSpec.short_range_arma(ar=ar)
         assert DependenceSpec.long_range(0.8).hurst == pytest.approx(0.6)
         assert DependenceSpec.non_ergodic().decay_exponent == 0.0
         assert DependenceSpec.short_range_arma().decay_exponent == math.inf
