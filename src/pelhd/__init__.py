@@ -11,6 +11,7 @@ from .calibration import (
     build_curve_ne,
     conservative_reject,
     decide,
+    ergodic_scale,
     estimate_alpha_hurst,
     estimate_alpha_invariant,
     estimate_kappa_sq_invariant,
@@ -44,10 +45,7 @@ from .experiments import (
     run_experiment,
 )
 from .limits import (
-    LimitRegime,
-    classify_regime,
     kappa_squared,
-    normal_limit_cdf,
     sample_lrd_limit,
     sample_ne_limit,
 )

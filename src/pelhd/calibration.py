@@ -31,6 +31,7 @@ __all__ = [
     "subsample_size",
     "build_curve_ne",
     "build_curve_ergodic",
+    "ergodic_scale",
     "quantile",
     "estimate_alpha_invariant",
     "estimate_alpha_hurst",
@@ -154,18 +155,29 @@ def build_curve_ne(data: DataMatrix, mu0, m: int,
     )
 
 
+def ergodic_scale(p: int, alpha_hat: float) -> float:
+    """The scale b_hat = p^min(alpha_hat, 1/2) of the ergodic statistic.
+
+    The centered statistic and every value of its curve carry this same
+    factor, so the decision of ``decide`` does not depend on it beyond
+    rounding; it sets the units of the curve.  From alpha_hat = 1/2 on the
+    calibration uses sqrt(p), not the sqrt(p log p) of the Normal limit
+    at the boundary alpha = 1/2.
+    """
+    return p ** min(alpha_hat, 0.5)
+
+
 def build_curve_ergodic(data: DataMatrix, mu0, m: int, alpha_hat: float,
                         cfg: PelConfig) -> CalibrationCurve:
     """Centered/scaled subsample statistics V*_m = b_hat (stat - c*).
 
-    b_hat = p^(min(alpha_hat, 1/2)) uses the full-data dimension p (only
-    the observation index is subsampled) and the full-data alpha_hat.
+    b_hat = ergodic_scale(p, alpha_hat) uses the full-data dimension p
+    (only the observation index is subsampled) and the full-data alpha_hat.
     """
     if not np.isfinite(alpha_hat):
         raise DomainError(f"alpha_hat must be finite, got {alpha_hat}")
     starts, stats, failed = _block_statistics(data, mu0, m, cfg)
-    b_hat = data.p ** min(alpha_hat, 0.5)
-    v = b_hat * (stats - cfg.c_star)
+    v = ergodic_scale(data.p, alpha_hat) * (stats - cfg.c_star)
     ok = ~np.isnan(v)
     return CalibrationCurve(
         sorted_values=np.sort(v[ok]), regime="ergodic",

@@ -14,26 +14,34 @@ built-in log barrier, so the minimizer is unique and interior.
 One Newton kernel finds it for a stack of B same-shape problems at once:
 ``solve_pel`` passes B = 1, the subsampling calibration passes the
 overlapping blocks of a curve, a chunk at a time, with the chunk size
-bounded by chunk (m+1)(m+1+p) <= 4 (n+1)^2 so that a chunk's KKT systems
-and data cost a small multiple of the full-sample KKT matrix.  With
-G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2, so the kernel works
-on the Gram matrices alone.  Each iteration solves the bordered
-(n+1)-dimensional KKT systems of the active problems in one batched call.
-Once the squared Newton decrement -g'd is below 1/16 the step is in the
-pure-Newton phase of this self-concordant objective and is taken in full,
-so convergence does not hinge on comparing objective values that differ by
-less than their rounding; larger steps backtrack to an Armijo decrease.  A
-problem leaves the stack once its KKT residual is below ``newton_tol``;
-one that Newton leaves unconverged is reported as such.
+bounded by chunk (m+1)(m+1+p) <= 4 (n+1)^2 so that a chunk's linear
+systems and data cost a small multiple of one (n+1)^2 matrix.  With
+G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the Hessian is
+diag(1/pi^2) + G.  The shape picks how a Newton step is computed, and
+nothing else: for n <= LOWRANK_RATIO p each iteration solves the bordered
+(n+1)-dimensional KKT systems built from the n x n Gram matrices; above
+that G, of rank at most p, is never formed, and a step goes through a
+p x p capacitance matrix of the n x p factor sqrt(2 lambda) Ytil in
+O(n p^2) time.  Memory therefore grows with n min(n, p).  Once the squared
+Newton decrement -g'd is below 1/16 the step is in the pure-Newton phase
+of this self-concordant objective and is taken in full, so convergence
+does not hinge on comparing objective values that differ by less than
+their rounding; larger steps backtrack to an Armijo decrease.  A problem
+leaves the stack once its KKT residual is below ``newton_tol``; one that
+Newton leaves unconverged is reported as such.  ``solve_pel`` logs the
+path, shape, iterations and residual of each solve at DEBUG level.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError
+
+logger = logging.getLogger(__name__)
 
 # Below this squared Newton decrement a step is in the pure-Newton phase of
 # the self-concordant objective (Boyd & Vandenberghe 9.6.4): the full step
@@ -41,6 +49,12 @@ from .errors import ConvergenceError, DimensionError, DomainError
 FULL_STEP_DECREMENT = 1.0 / 16.0
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO = 1e-4
+# Problems with n > LOWRANK_RATIO * p take Newton steps through the n x p
+# factors of G instead of the n x n Gram matrix.  Measured crossover for
+# stacks of subsample blocks (one BLAS thread): the two paths cost the same
+# near m = 1.3 p at p = 20 and p = 100; at m = 1.6 p the factors are 15%
+# faster, at m = 1.2 p 10% slower.
+LOWRANK_RATIO = 1.35
 
 __all__ = [
     "DataMatrix",
@@ -184,13 +198,13 @@ def objective(pi, data: DataMatrix, mu, cfg: PelConfig) -> float:
     return float(_criterion(pi[None], gpi[None])[0])
 
 
-def _matvec(gram, pi):
-    """Row-wise products gram[b] @ pi[b] of a (B, n, n) and a (B, n) stack."""
-    return np.matmul(gram, pi[:, :, None])[:, :, 0]
+def _matvec(a, v):
+    """Row-wise products a[b] @ v[b] of a (B, n, k) and a (B, k) stack."""
+    return np.matmul(a, v[:, :, None])[:, :, 0]
 
 
 def _kkt_solve(kkt, rhs):
-    """Solve a stack of KKT systems; a singular system's row comes back NaN."""
+    """Solve a stack of linear systems; a singular system's row comes back NaN."""
     try:
         return np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
@@ -203,15 +217,116 @@ def _kkt_solve(kkt, rhs):
         return out
 
 
-def _step_lengths(pi, d, gpi, gram, dec):
+class _GramStep:
+    """Newton steps from the n x n matrices G_b = 2 lambda Ytil_b Ytil_b'.
+
+    Each step solves the bordered (n+1)-dimensional KKT systems of the
+    active rows in one batched call: O(n^3) time and O(n^2) memory per
+    problem, the right size when n is not much above p.
+    """
+
+    name = "gram"
+
+    def __init__(self, ytil, lam):
+        n_rows, n, _ = ytil.shape
+        self.gram = np.matmul(ytil, ytil.transpose(0, 2, 1))
+        self.gram *= 2.0 * lam
+        self.kkt = np.zeros((n_rows, n + 1, n + 1))
+        self.kkt[:, :n, n] = 1.0
+        self.kkt[:, n, :n] = 1.0
+        self.rhs = np.zeros((n_rows, n + 1, 1))
+
+    def keep(self, rows):
+        # the stack shrinks only when a row leaves it, so with B = 1 the
+        # Gram matrix is never copied
+        self.gram = self.gram[rows]
+
+    def matvec(self, v):
+        return _matvec(self.gram, v)
+
+    def quad(self, d):
+        return np.einsum("ij,ij->i", _matvec(self.gram, d), d)
+
+    def step(self, x, grad):
+        b, n = x.shape
+        kkt = self.kkt[:b]
+        kkt[:, :n, :n] = self.gram
+        kkt.reshape(b, -1)[:, : n * (n + 2): n + 2] += x ** -2
+        self.rhs[:b, :n, 0] = -grad
+        return _kkt_solve(kkt, self.rhs[:b])[:, :n, 0]
+
+
+class _LowRankStep:
+    """Newton steps from the n x p factors U_b = sqrt(2 lambda) Ytil_b.
+
+    G_b = U_b U_b' has rank at most p and is never formed: G v is U (U'v)
+    and d'G d is ||U'd||^2.  A step costs O(n p^2) time and O(n p) memory
+    per problem, through the p x p capacitance matrix of the matrix
+    inversion lemma (Boyd & Vandenberghe, App. C.4).
+
+    On the tangent space 1'd = 0 the Hessian diag(pi^-2) + U U' acts as
+    H = diag(pi^-2) + Uc Uc' with the centered factor Uc = U - 1 a',
+    a = U' pi^2 / ||pi||^2.  Then Uc' pi^2 = 0, so H^-1 1 = pi^2 and the
+    border eliminates in closed form: nu = -pi^2'g / ||pi||^2.  With
+    V = diag(pi) Uc and z = pi (g + nu),
+
+        d = -pi (z - V (I + V'V)^-1 V'z).
+
+    Centering keeps V free of the near-multiple of pi that U carries when
+    mu lies far from the data, which would otherwise make I + V'V
+    ill-conditioned.  The gradient is centered before it is scaled, and z
+    and the result are projected off pi explicitly, so 1'd = 0 holds to
+    rounding however large the gradient entries are.
+    """
+
+    name = "lowrank"
+
+    def __init__(self, ytil, lam):
+        self.u = np.sqrt(2.0 * lam) * ytil
+
+    def keep(self, rows):
+        self.u = self.u[rows]
+
+    def matvec(self, v):
+        return _matvec(self.u, _matvec(self.u.transpose(0, 2, 1), v))
+
+    def quad(self, d):
+        return np.sum(_matvec(self.u.transpose(0, 2, 1), d) ** 2, axis=1)
+
+    def step(self, x, grad):
+        p = self.u.shape[2]
+        x2 = x * x
+        norm2 = x2.sum(axis=1, keepdims=True)
+        a = _matvec(self.u.transpose(0, 2, 1), x2) / norm2
+        v = x[:, :, None] * (self.u - a[:, None, :])
+        vt = v.transpose(0, 2, 1)
+        cap = np.matmul(vt, v)
+        cap.reshape(len(x), -1)[:, :: p + 1] += 1.0
+
+        def off_pi(w):
+            return w - x * (np.einsum("ij,ij->i", x, w)[:, None] / norm2)
+
+        z = off_pi(x * (grad - grad.mean(axis=1, keepdims=True)))
+        w = z - _matvec(v, _kkt_solve(cap, _matvec(vt, z)[:, :, None])[:, :, 0])
+        return -x * off_pi(w)
+
+
+def _step_kind(n, p):
+    """The Newton-step linear algebra for problems of n weights, p columns."""
+    return _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
+
+
+def _step_lengths(pi, d, gpi, quad, dec):
     """Step length of each row of the stack along its Newton direction ``d``.
 
     A row whose squared Newton decrement ``dec`` is below
     FULL_STEP_DECREMENT takes the full step.  The others backtrack from
     the largest step that keeps pi > 0 until the Armijo condition holds.
     Along the step the objective changes by -sum log1p(t d/pi) + t d'G pi
-    + t^2 d'G d / 2, which is accurate however small the change.  Returns
-    NaN where the decrement is not finite or backtracking gave out.
+    + t^2 d'G d / 2, which is accurate however small the change; the
+    caller's ``quad(d)`` gives d'G d for each row, and is only called when
+    a row backtracks.  Returns NaN where the decrement is not finite or
+    backtracking gave out.
     """
     finite = np.isfinite(dec)
     t = np.where(finite, 1.0, np.nan)
@@ -222,7 +337,7 @@ def _step_lengths(pi, d, gpi, gram, dec):
         return t
     rows = np.flatnonzero(damped)
     pr, dr = pi[rows], d[rows]
-    quad = np.einsum("ij,ij->i", _matvec(gram, d), d)[rows]
+    quad = quad(d)[rows]
     lin = np.einsum("ij,ij->i", gpi[rows], dr)
     slope = np.minimum(-dec[rows], 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -244,88 +359,82 @@ def _step_lengths(pi, d, gpi, gram, dec):
     return t
 
 
-def _newton(pi, gram, tol, max_iters):
+def _newton(pi, lin, tol, max_iters):
     """Feasible-start Newton on a stack of B same-shape problems.
 
-    ``pi`` (B, n) holds the starting weights and ``gram`` (B, n, n) the
-    matrices G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
+    ``pi`` (B, n) holds the starting weights and ``lin`` (a _GramStep or
+    a _LowRankStep) the linear algebra of the matrices
+    G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
     -sum log(n pi) + pi'G_b pi / 2, whose Hessian is diag(1/pi^2) + G_b.
-    Each iteration solves the bordered (n+1) KKT systems of the rows still
-    active in one batched call.  A row leaves the stack once its KKT
-    residual is below ``tol`` (converged) or its step fails: a singular
-    system, a non-finite decrement or a line search that gave out.
+    Both kinds share this loop, its step rule and its stopping rule; each
+    iteration takes the Newton steps of the rows still active in one
+    batched call.  A row leaves the stack once its KKT residual is below
+    ``tol`` (converged) or its step fails: a singular system, a non-finite
+    decrement or a line search that gave out.
 
-    Returns (pi, iterations, converged, residual), one entry per row.
+    Returns (pi, G pi, iterations, converged, residual), one entry per row.
     """
     n_rows, n = pi.shape
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
     residual = np.full(n_rows, np.inf)
-    kkt = np.zeros((n_rows, n + 1, n + 1))
-    kkt[:, :n, n] = 1.0
-    kkt[:, n, :n] = 1.0
-    rhs = np.zeros((n_rows, n + 1, 1))
-    pi = pi.copy()
-    rows, x, g_act = np.arange(n_rows), pi, gram
+    pi, gpi_out = pi.copy(), np.empty_like(pi)
+    rows, x = np.arange(n_rows), pi
     for it in range(max_iters + 1):
-        gpi = _matvec(g_act, x)
+        gpi = lin.matvec(x)
         grad = -1.0 / x + gpi
         res = np.max(np.abs(grad - grad.mean(axis=1, keepdims=True)), axis=1)
         residual[rows] = res
         converged[rows] = res < tol
         done = converged[rows] | (it == max_iters)
         if done.any():
-            pi[rows[done]] = x[done]
+            pi[rows[done]], gpi_out[rows[done]] = x[done], gpi[done]
             iterations[rows[done]] = it
             keep = ~done
             if not keep.any():
                 break
-            # the stack shrinks only when a row leaves it, so with B = 1
-            # the Gram matrix is never copied
-            rows, x, g_act, grad, gpi = (
-                rows[keep], x[keep], g_act[keep], grad[keep], gpi[keep])
-        b = len(rows)
-        kkt[:b, :n, :n] = g_act
-        kkt[:b].reshape(b, -1)[:, : n * (n + 2): n + 2] += x ** -2
-        rhs[:b, :n, 0] = -grad
-        d = _kkt_solve(kkt[:b], rhs[:b])[:, :n, 0]
+            lin.keep(keep)
+            rows, x, grad, gpi = rows[keep], x[keep], grad[keep], gpi[keep]
+        d = lin.step(x, grad)
         # the squared Newton decrement: -g'd equals d'Hd at the KKT solution
         dec = -np.einsum("ij,ij->i", grad, d)
-        t = _step_lengths(x, d, gpi, g_act, dec)
+        t = _step_lengths(x, d, gpi, lin.quad, dec)
         failed = np.isnan(t)
         if failed.any():
-            pi[rows[failed]] = x[failed]
+            pi[rows[failed]], gpi_out[rows[failed]] = x[failed], gpi[failed]
             iterations[rows[failed]] = it
             keep = ~failed
             if not keep.any():
                 break
-            rows, x, g_act, d, t = (
-                rows[keep], x[keep], g_act[keep], d[keep], t[keep])
+            lin.keep(keep)
+            rows, x, d, t = rows[keep], x[keep], d[keep], t[keep]
         x = x + t[:, None] * d
         x /= x.sum(axis=1, keepdims=True)
-    return pi, iterations, converged, residual
+    return pi, gpi_out, iterations, converged, residual
 
 
 def _solve_stack(ytil, lam, cfg: PelConfig):
     """Minimize the PEL criterion of B same-shape problems at once.
 
     ``ytil`` (B, n, p) stacks Ytil_b = (X_b - mu) sqrt(delta_b).  Every row
-    starts at the uniform weights and runs the stacked Newton.
+    starts at the uniform weights and runs the stacked Newton with the
+    linear algebra ``_step_kind`` picks for the shape: n x n Gram matrices
+    for n <= LOWRANK_RATIO p, the n x p factors above, so memory grows
+    with B n min(n, p).
 
     Returns (pi, stat, iterations, converged, residual), one entry per row;
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
     is not a statistic.
     """
-    n_rows, n, _ = ytil.shape
-    gram = np.matmul(ytil, ytil.transpose(0, 2, 1))
-    gram *= 2.0 * lam
-    pi, iters, ok, res = _newton(np.full((n_rows, n), 1.0 / n), gram,
-                                 cfg.newton_tol, cfg.max_newton_iters)
-    stat = _criterion(pi, _matvec(gram, pi))
+    n_rows, n, p = ytil.shape
+    pi, gpi, iters, ok, res = _newton(
+        np.full((n_rows, n), 1.0 / n), _step_kind(n, p)(ytil, lam),
+        cfg.newton_tol, cfg.max_newton_iters)
+    stat = _criterion(pi, gpi)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
     # no penalty at all (lambda = 0 or every delta = 0): the uniform start
     # is optimal and K_n is exactly 0
-    stat[~gram.any(axis=(1, 2))] = 0.0
+    stat[(lam == 0) | ~ytil.any(axis=(1, 2))] = 0.0
     return pi, stat, iters, ok, res
 
 
@@ -356,6 +465,8 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     ytil = y * np.sqrt(data.delta)
     pi, stat, iters, ok, res = _solve_stack(ytil[None], cfg.penalty(n, p), cfg)
     pi, res = pi[0], float(res[0])
+    logger.debug("solve_pel: path=%s n=%d p=%d iterations=%d residual=%.3e",
+                 _step_kind(n, p).name, n, p, iters[0], res)
     if not ok[0]:
         raise ConvergenceError(
             f"PEL solver did not reach tol={cfg.newton_tol:g} "

@@ -28,6 +28,7 @@ from .calibration import (
     build_curve_ergodic,
     build_curve_ne,
     decide,
+    ergodic_scale,
     estimate_alpha_hurst,
     estimate_kappa_sq_plugin,
     subsample_size,
@@ -179,7 +180,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
             statistic = kn
         else:
             alpha_hat = estimate_alpha_hurst(data)
-            statistic = cfg.p ** min(alpha_hat, 0.5) * (kn - cfg.c_star)
+            statistic = ergodic_scale(cfg.p, alpha_hat) * (kn - cfg.c_star)
     except PelhdError:
         # e.g. p < 16 for the Hurst grid: the subsampling rows stay NaN
         m_sizes = ()

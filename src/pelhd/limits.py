@@ -1,23 +1,22 @@
 """Reference asymptotic laws for the centered/scaled PEL statistic.
 
-Covers the four regimes of the statistic's limit:
+The limit depends on the correlation-decay exponent alpha:
 
 * short-range / weak long-range dependence (alpha > 1/2): Normal with
-  variance kappa^2 = 2 c*^2 sum_k rho(k)^2 after centering at c_star and
-  scaling by sqrt(p);
-* boundary alpha = 1/2: Normal(0, c*^2) at scale sqrt(p log p);
+  variance kappa^2 = 2 c*^2 sum_k rho(k)^2 (``kappa_squared``) after
+  centering at c_star and scaling by sqrt(p);
+* boundary alpha = 1/2: Normal(0, c*^2) at scale sqrt(p log p); the
+  subsampling calibration scales by sqrt(p) there (``ergodic_scale``);
 * strong long-range dependence (alpha < 1/2): a non-Normal law at scale
   p^alpha, sampled through the Gaussian quadratic-form surrogate
-  c* p^(alpha-1) sum_j (Z_j^2 - 1);
+  c* p^(alpha-1) sum_j (Z_j^2 - 1) (``sample_lrd_limit``);
 * non-ergodic: the raw statistic converges to a Gaussian quadratic
   functional, sampled by discretizing the inverse-operator form
-  (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z on a q-point grid.
+  (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z on a q-point grid
+  (``sample_ne_limit``).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,47 +24,10 @@ from .errors import DimensionError, DomainError, NumericError
 from .simulate import lrd_correlation
 
 __all__ = [
-    "LimitRegime",
-    "classify_regime",
-    "normal_limit_cdf",
     "kappa_squared",
     "sample_ne_limit",
     "sample_lrd_limit",
 ]
-
-
-@dataclass(frozen=True)
-class LimitRegime:
-    """Centering/scaling regime of the statistic for a given decay exponent."""
-
-    kind: str  # "ne" | "lrd" | "boundary" | "normal"
-    center: float
-    scale: float
-
-
-def classify_regime(alpha: float, p: int, c_star: float) -> LimitRegime:
-    """Map a correlation-decay exponent to its (center, scale) pair.
-
-    alpha > 1/2 (including infinity) -> Normal regime at sqrt(p);
-    alpha = 1/2 -> boundary at sqrt(p log p); 0 < alpha < 1/2 -> non-Normal
-    at p^alpha; alpha = 0 -> non-ergodic, untransformed statistic.
-    """
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return LimitRegime("ne", 0.0, 1.0)
-    if alpha < 0.5:
-        return LimitRegime("lrd", c_star, p**alpha)
-    if alpha == 0.5:
-        return LimitRegime("boundary", c_star, math.sqrt(p * math.log(p)))
-    return LimitRegime("normal", c_star, math.sqrt(p))
-
-
-def normal_limit_cdf(x: float, kappa_sq: float) -> float:
-    """CDF of the N(0, kappa^2) limit at x."""
-    if not kappa_sq > 0:
-        raise DomainError(f"kappa_sq must be positive, got {kappa_sq}")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0 * kappa_sq))
 
 
 def kappa_squared(rho, c_star: float) -> float:

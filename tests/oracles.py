@@ -20,6 +20,43 @@ def objective_direct(pi, y, delta, lam):
     return float(-np.sum(np.log(n * pi)) + lam * np.dot(delta, m**2))
 
 
+def dense_newton(y, delta, lam, tol=1e-10, max_iters=100):
+    """Reference PEL solve of one problem: Newton on the dense bordered KKT.
+
+    Restates the library's step and stopping rules with the n x n Hessian
+    diag(1/pi^2) + G, G = 2 lam (y delta y'), formed explicitly: a full
+    step below a squared Newton decrement of 1/16 (when it stays inside
+    the simplex), otherwise backtracking from 0.99 of the largest feasible
+    step until the direct objective decreases by 1e-4 t times the
+    decrement; stop once the projected gradient's max-norm is below tol.
+    Returns (K_n, iterations); raises RuntimeError if not certified.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    gram = 2.0 * lam * (y * delta) @ y.T
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = kkt[n, :n] = 1.0
+    pi = np.full(n, 1.0 / n)
+    for it in range(max_iters + 1):
+        grad = -1.0 / pi + gram @ pi
+        if np.max(np.abs(grad - grad.mean())) < tol:
+            return objective_direct(pi, y, delta, lam), it
+        kkt[:n, :n] = gram + np.diag(pi ** -2)
+        d = np.linalg.solve(kkt, np.append(-grad, 0.0))[:n]
+        dec = -grad @ d
+        t = 1.0
+        if dec >= 1.0 / 16.0 or np.any(pi + d <= 0):
+            if np.any(d < 0):
+                t = min(1.0, 0.99 * np.min(-pi[d < 0] / d[d < 0]))
+            f0 = objective_direct(pi, y, delta, lam)
+            while (t > 1e-14 and objective_direct(pi + t * d, y, delta, lam)
+                   > f0 - 1e-4 * t * dec):
+                t /= 2.0
+        pi = pi + t * d
+        pi /= pi.sum()
+    raise RuntimeError(f"dense Newton did not reach tol={tol:g}")
+
+
 def _grid_points_2(step):
     t = np.arange(step, 1.0, step)
     return np.column_stack([t, 1.0 - t])

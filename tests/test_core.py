@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +9,17 @@ from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
     _kkt_solve,
+    _solve_stack,
     compute_column_stats,
     neg_log_pel_ratio,
     objective,
     solve_pel,
 )
 from pelhd.errors import ConvergenceError, DimensionError, DomainError
+from pelhd.simulate import DependenceSpec, gen_srd_arma
 
 from conftest import rng_for
-from oracles import objective_direct, simplex_grid_minimum
+from oracles import dense_newton, objective_direct, simplex_grid_minimum
 
 
 STRESS_KINDS = ("lambda", "far_mu", "near_dup", "cauchy", "constant")
@@ -71,6 +75,33 @@ def stress_instance(k):
         x = rng.normal(size=(n, p))
         x[:, rng.random(p) < 0.5] = rng.normal()
     return x, mu, c_star, lam
+
+
+def stress_table(start, stop):
+    """Print one line per stress instance k in [start, stop).
+
+    Columns: outcome (solved or raised), K_n (nan if raised), Newton
+    iterations, the KKT residual, eps * max|gradient| at the returned
+    weights, and eps * max(1/pi + 2 lambda |Ytil| |Ytil|' pi), a bound on
+    the rounding error of the gradient itself; a residual below
+    ``newton_tol`` is decided by rounding where that floor exceeds it.
+    """
+    eps = np.finfo(float).eps
+    print("k kind n p outcome K_n iterations residual eps_max_grad floor")
+    for k in range(start, stop):
+        x, mu, c_star, lam = stress_instance(k)
+        cfg = PelConfig(c_star=c_star, lam=lam)
+        lam = cfg.penalty(*x.shape)
+        ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
+        pi, stat, iters, ok, res = _solve_stack(ytil[None], lam, cfg)
+        pi = pi[0]
+        grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
+        floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
+        print(f"{k} {STRESS_KINDS[k % 5]} {x.shape[0]} {x.shape[1]} "
+              f"{'solved' if ok[0] else 'raised'} "
+              f"{float(stat[0]) if ok[0] else float('nan')!r} {iters[0]} "
+              f"{res[0]:.3e} {eps * np.max(np.abs(grad)):.3e} "
+              f"{eps * np.max(floor):.3e}")
 
 
 def random_instance(rng, n=None, p=None):
@@ -230,8 +261,10 @@ class TestSolvePel:
     def test_uncertified_instance_raises_after_newton(self):
         """Newton's best iterate and residual come back at once when it
         cannot certify an instance within max_newton_iters; no second
-        solver runs after it."""
-        x, mu, c_star, lam = stress_instance(1)
+        solver runs after it.  Stress instance 1531 (n = 38 > p = 18, so
+        the low-rank step) has a gradient rounding floor near 1e-8, far
+        above newton_tol."""
+        x, mu, c_star, lam = stress_instance(1531)
         cfg = PelConfig(c_star=c_star, lam=lam)
         with pytest.raises(ConvergenceError) as err:
             solve_pel(compute_column_stats(x), mu, cfg)
@@ -248,6 +281,18 @@ class TestSolvePel:
         np.testing.assert_array_equal(out[0], 1.0)
         assert np.all(np.isnan(out[1]))
         np.testing.assert_array_equal(out[2], 0.5)
+
+    def test_nonfinite_capacitance_fails_its_row_only(self):
+        # n > p: the low-rank step, whose capacitance system turns NaN for
+        # the row with an infinite entry; the other rows still solve
+        ytil = rng_for("lowrank", 0).normal(size=(3, 30, 4))
+        ytil[1, 0, 0] = np.inf
+        cfg = PelConfig()
+        with np.errstate(invalid="ignore"):
+            _, stat, _, ok, _ = _solve_stack(ytil, 2.0, cfg)
+        assert ok.tolist() == [True, False, True]
+        alone = _solve_stack(ytil[[0, 2]], 2.0, cfg)[1]
+        np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
 
     def test_stress_corpus_keeps_reference_solutions(self):
         """Every stress instance the reference solver solved is still
@@ -297,6 +342,60 @@ class TestSolvePel:
             block = compute_column_stats(x[i:i + m, ~const])
             want = solve_pel(block, mu[~const], lam).stat
             assert curve.block_stats[i] == pytest.approx(want, rel=1e-9), i
+
+
+def srd_instance(key, n, p):
+    x = gen_srd_arma(n, p, DependenceSpec.short_range_arma(), rng_for(*key))
+    return compute_column_stats(x), np.full(p, 0.1)
+
+
+class TestStepPaths:
+    """The n x p low-rank Newton step against a dense reference."""
+
+    @pytest.mark.parametrize("n,p", [(30, 4), (200, 20), (300, 7), (400, 100)])
+    def test_full_sample_matches_dense_reference(self, n, p):
+        data, mu = srd_instance(("paths", n, p), n, p)
+        cfg = PelConfig()
+        sol = solve_pel(data, mu, cfg)
+        want, iters = dense_newton(data.values - mu, data.delta,
+                                   cfg.penalty(n, p))
+        assert sol.stat == pytest.approx(want, rel=1e-12, abs=0)
+        assert sol.iterations == iters
+
+    def test_curve_blocks_match_dense_reference(self):
+        # m = 32 > p = 20: every block of the curve takes the low-rank step
+        n, p, m = 200, 20, 32
+        data, mu = srd_instance(("paths", "curve"), n, p)
+        cfg = PelConfig()
+        curve = build_curve_ne(data, mu, m, cfg)
+        for i in range(n - m + 1):
+            block = compute_column_stats(data.values[i:i + m])
+            want, iters = dense_newton(block.values - mu, block.delta,
+                                       cfg.penalty(m, p))
+            assert curve.block_stats[i] == pytest.approx(want, rel=1e-12,
+                                                         abs=0), i
+            assert solve_pel(block, mu, cfg).iterations == iters, i
+
+    def test_memory_grows_with_n_times_p(self):
+        # an (n+1)^2 KKT matrix alone would take 72 MB here
+        n, p = 3000, 10
+        data, mu = srd_instance(("paths", "memory"), n, p)
+        tracemalloc.start()
+        try:
+            solve_pel(data, mu, PelConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * n * p
+
+    @pytest.mark.parametrize("n,p,path", [(30, 4, "lowrank"), (4, 30, "gram")])
+    def test_debug_record_names_the_path(self, caplog, n, p, path):
+        data, mu = srd_instance(("paths", "log"), n, p)
+        caplog.set_level(logging.DEBUG, logger="pelhd.core")
+        sol = solve_pel(data, mu, PelConfig())
+        assert caplog.messages[-1] == (
+            f"solve_pel: path={path} n={n} p={p} "
+            f"iterations={sol.iterations} residual={sol.kkt_residual:.3e}")
 
 
 class TestStatisticProperties:
@@ -399,3 +498,9 @@ class TestPelConfig:
             PelConfig(c_star=1.0, newton_tol=0.0)
         with pytest.raises(DomainError):
             PelConfig(c_star=1.0, max_newton_iters=0)
+
+
+if __name__ == "__main__":
+    import sys
+
+    stress_table(*map(int, sys.argv[1:3]))

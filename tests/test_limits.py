@@ -6,9 +6,7 @@ from scipy.stats import skew
 
 from pelhd.errors import DimensionError, DomainError
 from pelhd.limits import (
-    classify_regime,
     kappa_squared,
-    normal_limit_cdf,
     sample_lrd_limit,
     sample_ne_limit,
 )
@@ -18,51 +16,7 @@ from conftest import rng_for
 from oracles import gaussian_quadratic_center_sum_variance, lrd_rho
 
 
-class TestNormalCdf:
-    def test_center(self):
-        assert normal_limit_cdf(0.0, 4.0) == 0.5
-
-    def test_upper_quantile(self):
-        kappa = 2.0
-        assert normal_limit_cdf(1.959964 * kappa, kappa**2) == pytest.approx(
-            0.975, abs=1e-6)
-
-    def test_scale_family(self):
-        for x in (-1.3, 0.2, 2.7):
-            lhs = normal_limit_cdf(x, 2 * 1.21)
-            rhs = normal_limit_cdf(x / math.sqrt(2.0), 1.21)
-            assert lhs == pytest.approx(rhs, abs=1e-14)
-
-    def test_accuracy_against_erf_series(self):
-        # spot values from the standard normal table
-        assert normal_limit_cdf(1.0, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
-        assert normal_limit_cdf(-2.5, 1.0) == pytest.approx(0.006209665325776132, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            normal_limit_cdf(0.0, 0.0)
-        with pytest.raises(DomainError):
-            normal_limit_cdf(0.0, -1.0)
-
-
 class TestRegimeDispatch:
-    def test_mapping(self):
-        p, c = 100, 1.5
-        r = classify_regime(math.inf, p, c)
-        assert (r.kind, r.center, r.scale) == ("normal", c, 10.0)
-        r = classify_regime(0.8, p, c)
-        assert (r.kind, r.center, r.scale) == ("normal", c, 10.0)
-        r = classify_regime(0.5, p, c)
-        assert r.kind == "boundary"
-        assert r.scale == pytest.approx(math.sqrt(p * math.log(p)))
-        r = classify_regime(0.1, p, c)
-        assert r.kind == "lrd"
-        assert r.scale == pytest.approx(p**0.1)
-        r = classify_regime(0.0, p, c)
-        assert (r.kind, r.center, r.scale) == ("ne", 0.0, 1.0)
-        with pytest.raises(DomainError):
-            classify_regime(-0.2, p, c)
-
     def test_kappa_squared_sum(self):
         rho = np.array([1.0, 0.5, 0.25])
         assert kappa_squared(rho, 2.0) == pytest.approx(8 * (1 + 0.25 + 0.0625))
