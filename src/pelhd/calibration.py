@@ -45,6 +45,11 @@ logger = logging.getLogger(__name__)
 
 # Fraction of failed block solves at which the whole curve is rejected.
 MAX_BLOCK_FAILURE_RATE = 0.01
+# Element budget of one chunk of subsample blocks solved together, counted
+# as chunk (m+1)(m+1+p).  It is the (n+1)^2 scale of one full-sample KKT
+# matrix at n = 200, times 4, and does not grow with n, so a curve's working
+# memory stays a few MB at any sample size.
+BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,10 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
 
     Each block takes its own column stats (the two-pass formula of
     compute_column_stats, applied to windows of the data) and all blocks
-    are solved by the stacked Newton kernel, a chunk at a time.  Failed
-    block solves are recorded as NaN; NumericError above the 1% tolerance
-    (isolated failures must not silently bias the quantiles).
+    are solved by the stacked Newton kernel, a chunk of at most
+    ``BLOCK_CHUNK_ELEMENTS`` elements at a time.  Failed block solves are
+    recorded as NaN; NumericError above the 1% tolerance (isolated
+    failures must not silently bias the quantiles).
     """
     n, p = data.n, data.p
     if not 1 < m < n:
@@ -120,10 +126,8 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     lam = replace(cfg, lam=None).penalty(m, p)
     windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
     n_blocks = len(windows)
-    # a block holds an (m+1)^2 KKT system and an m x p Ytil; with
-    # chunk (m+1)(m+1+p) <= 4 (n+1)^2 a chunk stays within a small multiple
-    # of the (n+1)^2 KKT matrix of the full-sample solve
-    chunk = max(1, 4 * (n + 1) ** 2 // ((m + 1) * (m + 1 + p)))
+    # a block holds at most an (m+1)^2 KKT system and an m x p Ytil
+    chunk = max(1, BLOCK_CHUNK_ELEMENTS // ((m + 1) * (m + 1 + p)))
     stats = np.empty(n_blocks)
     failed = 0
     for lo in range(0, n_blocks, chunk):

@@ -14,8 +14,8 @@ built-in log barrier, so the minimizer is unique and interior.
 One Newton kernel finds it for a stack of B same-shape problems at once:
 ``solve_pel`` passes B = 1, the subsampling calibration passes the
 overlapping blocks of a curve, a chunk at a time, with the chunk size
-bounded by chunk (m+1)(m+1+p) <= 4 (n+1)^2 so that a chunk's linear
-systems and data cost a small multiple of one (n+1)^2 matrix.  With
+bounded by a fixed element budget (``calibration.BLOCK_CHUNK_ELEMENTS``)
+so that a curve's linear systems and data take a few MB at any n.  With
 G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the Hessian is
 diag(1/pi^2) + G.  The shape picks how a Newton step is computed, and
 nothing else: for n <= LOWRANK_RATIO p each iteration solves the bordered

@@ -16,13 +16,13 @@ import hashlib
 import math
 import multiprocessing
 import os
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from .calibration import (
     build_curve_ergodic,
@@ -201,7 +201,8 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
             kappa_hat = math.sqrt(estimate_kappa_sq_plugin(data, cfg.c_star))
             z = math.sqrt(cfg.p) * (kn - cfg.c_star)
             for j, level in enumerate(cfg.levels):
-                out[-1, j] = float(z > kappa_hat * ndtri(1.0 - level))
+                z_level = statistics.NormalDist().inv_cdf(1.0 - level)
+                out[-1, j] = float(z > kappa_hat * z_level)
         except PelhdError:
             pass
     return out

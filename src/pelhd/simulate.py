@@ -9,7 +9,13 @@ seed:
   ``rho(k) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2``, H = (2-alpha)/2,
   drawn through an upper Cholesky factor R = U'U;
 * short-range dependent: each row is a stationary stretch of an ARMA(2,3)
-  recursion with N(0,1) innovations after a burn-in.
+  recursion with N(0,1) innovations after a burn-in, computed by a blocked
+  state-space filter (two matrix products per block of 32 steps, so the
+  Python loop runs over blocks, not time steps).
+
+Only numpy is used: the SRD filter agrees with a direct recursion to a few
+units of rounding, and the LRD Toeplitz matrix and its Cholesky factor are
+numpy's.
 
 Seeds may be ints or numpy SeedSequence/Generator objects; identical
 (spec, n, p, seed) produce bit-identical matrices.
@@ -23,8 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, NumericError, ParameterError
 
@@ -49,6 +54,8 @@ DEFAULT_MA = (0.3, 0.5, 0.1)
 # Basis weight exp(1)+1, identical for every term of the expansion.
 _NE_WEIGHT = math.e + 1.0
 _NE_TERMS = 31
+# Time steps per block of the SRD filter (see _arma_filter).
+_FILTER_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -195,17 +202,22 @@ def lrd_correlation(p: int, alpha: float) -> LrdCorrelation:
     if p > 1:
         kk = k[1:]
         rho[1:] = 0.5 * ((kk + 1) ** two_h + (kk - 1) ** two_h - 2 * kk**two_h)
-    r = scipy.linalg.toeplitz(rho)
+    # row i of the Toeplitz matrix is the window of [rho reversed, rho]
+    # that starts at p-1-i: a read-only view, copied once by the factorization
+    r = sliding_window_view(np.concatenate((rho[:0:-1], rho)), p)[::-1]
     try:
-        u = scipy.linalg.cholesky(r, lower=False)
+        u = np.linalg.cholesky(r, upper=True)
     except np.linalg.LinAlgError:
         try:
-            u = scipy.linalg.cholesky(r + 1e-12 * np.eye(p), lower=False)
+            u = np.linalg.cholesky(r + 1e-12 * np.eye(p), upper=True)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 "Cholesky factorization of the LRD correlation failed even "
                 "with 1e-12 diagonal jitter; matrix is numerically indefinite"
             ) from exc
+    # Fortran order, the layout LAPACK writes: the layout of u picks the
+    # BLAS kernel of z @ u in gen_lrd, and with it the last bits of the data
+    u = np.asfortranarray(u)
     rho.setflags(write=False)
     u.setflags(write=False)
     return LrdCorrelation(rho=rho, chol_upper=u)
@@ -220,20 +232,99 @@ def gen_lrd(n: int, p: int, alpha: float, seed) -> np.ndarray:
     return z @ u
 
 
-def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
-    """Rows are independent length-p stretches of a stationary ARMA(2,3).
+@functools.lru_cache(maxsize=8)
+def _arma_block_operators(ar, ma, n_lead: int):
+    """Block operators of the filter y_t = sum_k ar_k y_(t-k) + eps_t
+    + sum_k ma_k eps_(t-k), as right factors of row vectors.
 
-    X_t = a1 X_{t-1} + a2 X_{t-2} + eps_t + b1 eps_{t-1} + b2 eps_{t-2}
-    + b3 eps_{t-3} with N(0,1) innovations; the first ``burn_in`` values
-    are discarded to wash out the zero initial state.
+    State-space form with a state z of dimension r = max(len(ar), len(ma)):
+    y_t = eps_t + z_t[0] and z_(t+1) = A z_t + beta eps_t, where A holds
+    ``ar`` in its first column and ones on its superdiagonal, and
+    beta = ar + ma (both zero-padded to r).  With L = _FILTER_BLOCK,
+    returns, read-only:
+
+    * ``lead`` (n_lead, r): eps_lead @ lead is the state after n_lead
+      inputs from a zero state (row k is (A^(n_lead-1-k) beta)');
+    * ``carry`` (r, r) and ``drive`` (L, r): z @ carry + eps_block @
+      drive is the state one block later;
+    * ``observe`` (r, L) and ``response`` (L, L): z @ observe
+      + eps_block @ response are the block's outputs; ``response`` is the
+      upper-triangular Toeplitz matrix of the impulse response.
+    """
+    r = max(len(ar), len(ma))
+    block = _FILTER_BLOCK
+    a = np.zeros(r)
+    a[:len(ar)] = ar
+    beta = a.copy()
+    beta[:len(ma)] += ma
+    trans = np.zeros((r, r))
+    trans[:, 0] = a
+    trans[np.arange(r - 1), np.arange(1, r)] = 1.0
+    powers = np.empty((max(n_lead, block), r))  # row j is A^j beta
+    powers[0] = beta
+    for j in range(1, len(powers)):
+        powers[j] = trans @ powers[j - 1]
+    observe = np.zeros((r, block))  # column i is the first row of A^i
+    observe[0, 0] = 1.0
+    for i in range(1, block):
+        observe[:, i] = observe[:, i - 1] @ trans
+    impulse = np.concatenate(([1.0], powers[:block - 1, 0]))
+    lag = np.arange(block)
+    ops = (
+        np.ascontiguousarray(powers[:n_lead][::-1]),
+        np.linalg.matrix_power(trans, block).T.copy(),
+        np.ascontiguousarray(powers[:block][::-1]),
+        observe,
+        np.triu(impulse[np.abs(lag[:, None] - lag)]),
+    )
+    for op in ops:
+        op.setflags(write=False)
+    return ops
+
+
+def _arma_filter(eps: np.ndarray, ar, ma, n_keep: int) -> np.ndarray:
+    """Last n_keep outputs of the ARMA filter of each row of eps, zero start.
+
+    Equal up to rounding to ``scipy.signal.lfilter([1, *ma], [1, *-ar],
+    eps)[:, -n_keep:]``.  The kept outputs are formed in blocks of
+    ``_FILTER_BLOCK`` steps aligned to the end of the rows: one gemm gives
+    each block's response to its own inputs, another its response to the
+    state carried into it, and a Python loop carries only the (n, r) state
+    from block to block.  The inputs before the first kept block enter
+    through one gemm for its starting state; no output is formed for them.
+    """
+    n, total = eps.shape
+    n_blocks = -(-n_keep // _FILTER_BLOCK)
+    n_lead = total - n_blocks * _FILTER_BLOCK
+    if n_lead < 0:
+        # zero inputs ahead of a zero state change no output
+        eps = np.pad(eps, ((0, 0), (-n_lead, 0)))
+        n_lead = 0
+    lead, carry, drive, observe, response = _arma_block_operators(
+        tuple(ar), tuple(ma), n_lead)
+    blocks = eps[:, n_lead:].reshape(n, n_blocks, _FILTER_BLOCK)
+    inflow = blocks.transpose(1, 0, 2) @ drive  # block-major: (n_blocks, n, r)
+    states = np.empty_like(inflow)
+    states[0] = eps[:, :n_lead] @ lead
+    for c in range(1, n_blocks):
+        states[c] = states[c - 1] @ carry + inflow[c - 1]
+    y = blocks @ response
+    y += states.transpose(1, 0, 2) @ observe
+    return np.ascontiguousarray(y.reshape(n, -1)[:, -n_keep:])
+
+
+def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
+    """Rows are independent length-p stretches of a stationary ARMA(2,q).
+
+    X_t = a1 X_{t-1} + a2 X_{t-2} + eps_t + b1 eps_{t-1} + ... + bq eps_{t-q}
+    with N(0,1) innovations (q = 3 by default), filtered from a zero state;
+    the first ``burn_in`` values are discarded to wash out that state.
     """
     if n < 1 or p < 1:
         raise DimensionError("n and p must be >= 1")
     _check_causal(spec.ar)
-    a1, a2 = spec.ar
     eps = np.random.default_rng(seed).standard_normal((n, spec.burn_in + p))
-    series = scipy.signal.lfilter([1.0, *spec.ma], [1.0, -a1, -a2], eps, axis=1)
-    return np.ascontiguousarray(series[:, spec.burn_in:])
+    return _arma_filter(eps, spec.ar, spec.ma, p)
 
 
 def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
@@ -261,9 +352,15 @@ def arma_autocorrelations(ar, ma, nlags: int, n_psi: int = 4096) -> np.ndarray:
     far below rounding error at the default.
     """
     _check_causal(ar)
-    impulse = np.zeros(n_psi)
-    impulse[0] = 1.0
-    psi = scipy.signal.lfilter([1.0, *ma], [1.0, *(-a for a in ar)], impulse)
+    a1, a2 = ar
+    psi = [1.0]
+    for j in range(1, n_psi):
+        val = ma[j - 1] if j <= len(ma) else 0.0
+        val += a1 * psi[j - 1]
+        if j >= 2:
+            val += a2 * psi[j - 2]
+        psi.append(val)
+    psi = np.asarray(psi)
     gamma = np.array(
         [psi[: n_psi - k] @ psi[k:] for k in range(nlags + 1)]
     )

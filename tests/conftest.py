@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from pelhd import DependenceSpec, ExperimentConfig, run_experiment
+# One BLAS thread, set before numpy loads: the suite's small matrix products
+# (the low-rank Newton step above all) run about 2x slower on two OpenBLAS
+# threads than on one.  A value set in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from pelhd import DependenceSpec, ExperimentConfig, run_experiment  # noqa: E402
 
 # Master seed for the acceptance-scale Monte Carlo runs.
 ACCEPT_SEED = 20260810

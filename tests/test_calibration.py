@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from pelhd import experiments
 
 from pelhd.calibration import (
+    BLOCK_CHUNK_ELEMENTS,
     CalibrationCurve,
     build_curve_ergodic,
     build_curve_ne,
@@ -130,6 +132,20 @@ class TestCurves:
                 scaled.block_stats, b * (raw.block_stats - 1.0), rtol=1e-12)
         with pytest.raises(DomainError):
             build_curve_ergodic(dm, np.zeros(20), 25, math.nan, CFG)
+
+    def test_memory_does_not_grow_with_n(self):
+        # m = 74: all 3927 blocks in one chunk would take about 740 MB
+        n, p = 4000, 100
+        dm = compute_column_stats(
+            gen_srd_arma(n, p, SPEC_SRD, rng_for("curve", "memory")))
+        m = subsample_size(n, p)
+        tracemalloc.start()
+        try:
+            build_curve_ergodic(dm, np.zeros(p), m, 0.5, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * BLOCK_CHUNK_ELEMENTS
 
     def test_ergodic_curve_variance_tracks_limit_variance(self):
         # single-dataset block variances are noisy (overlapping blocks),

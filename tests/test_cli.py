@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import pelhd
 
 from pelhd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cli_main
 from pelhd.errors import NumericError
@@ -206,3 +212,13 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "stat", boom)
         assert run_cli("stat", "--data", "whatever.csv") == EXIT_NUMERIC
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI load without it
+    code = ("import sys, pelhd, pelhd.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pelhd.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "[]"

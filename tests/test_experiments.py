@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
@@ -244,6 +245,14 @@ class TestCalibrationCompare:
         for row in rows:
             if row["m_rule"] != "normal":
                 assert row["n_reps"] == 0 and math.isnan(row["a_hat"])
+
+    @pytest.mark.parametrize("level", [0.01, 0.025, 0.05, 0.1, 0.2])
+    def test_normal_quantile_matches_ndtri(self, level):
+        # the Normal row's threshold comes from the standard library's
+        # inverse CDF; 0.05 and 0.1 are the shipped levels
+        z = statistics.NormalDist().inv_cdf(1.0 - level)
+        expect = ndtri(1.0 - level)
+        assert abs(z - expect) <= 4 * math.ulp(expect)
 
     def test_normal_route_insensitive_to_variance_plugin(self):
         """Swapping the plug-in variance for the exact one barely moves a_hat.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 from scipy.stats import ks_2samp
 
 from pelhd.errors import DimensionError, DomainError, ParameterError
@@ -96,6 +97,19 @@ class TestLrdCorrelation:
         np.testing.assert_allclose(lc.chol_upper.T @ lc.chol_upper, r, atol=1e-8)
         assert np.allclose(np.tril(lc.chol_upper, -1), 0.0)
 
+    @pytest.mark.parametrize("p, alpha", [
+        (20, 0.1), (100, 0.1), (400, 0.1), (20, 0.8), (100, 0.8), (400, 0.8),
+        (2048, 0.1), (2048, 0.3),
+    ])
+    def test_cholesky_equals_scipy_bit_for_bit(self, p, alpha):
+        # the shipped configs' pairs and the limit samplers' surrogate size
+        lc = lrd_correlation(p, alpha)
+        expect = scipy.linalg.cholesky(scipy.linalg.toeplitz(lc.rho),
+                                       lower=False)
+        np.testing.assert_array_equal(lc.chol_upper, expect)
+        z = np.random.default_rng(5).standard_normal((50, p))
+        np.testing.assert_array_equal(gen_lrd(50, p, alpha, 5), z @ expect)
+
     def test_power_law_decay(self):
         alpha = 0.8
         lc = lrd_correlation(500, alpha)
@@ -146,6 +160,24 @@ class TestGenSrdArma:
         for k in range(1, 6):
             emp = np.mean(xc[:, :-k] * xc[:, k:]) / emp_var
             assert emp == pytest.approx(gamma[k] / gamma[0], abs=0.03)
+
+    @pytest.mark.parametrize("ar, ma", [
+        ((-0.4, 0.1), (0.3, 0.5, 0.1)),
+        ((0.5, -0.3), (0.0, 0.0, 0.0)),
+        ((0.9, 0.0), (0.2,)),
+        ((0.0, 0.0), (0.3, 0.5, 0.1)),
+    ])
+    @pytest.mark.parametrize("n, p, burn_in", [
+        (40, 100, 500), (5, 64, 500), (7, 40, 0), (9, 1, 500), (1, 33, 20),
+    ])
+    def test_matches_scipy_lfilter(self, ar, ma, n, p, burn_in):
+        spec = DependenceSpec.short_range_arma(ar=ar, ma=ma, burn_in=burn_in)
+        x = gen_srd_arma(n, p, spec, 11)
+        eps = np.random.default_rng(11).standard_normal((n, burn_in + p))
+        expect = scipy.signal.lfilter(
+            [1.0, *ma], [1.0, -ar[0], -ar[1]], eps, axis=1)[:, burn_in:]
+        assert x.shape == (n, p) and x.flags.c_contiguous
+        assert np.max(np.abs(x - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_correlations_die_out(self):
         spec = DependenceSpec.short_range_arma()
