@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,17 +55,21 @@ BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 @dataclass(frozen=True)
 class CalibrationCurve:
-    """Sorted subsample statistics approximating the null law.
+    """Subsample statistics approximating the null law.
 
-    ``block_stats`` keeps the per-block values in block order (the exported
-    CSV layout); ``sorted_values`` is the same multiset ascending.
+    ``block_stats`` holds one value per block, in block order (block i
+    starts at row i; the exported CSV layout), NaN for a failed block;
+    ``n_failed`` counts those.  ``sorted_values`` is the other values
+    ascending, the order statistics that ``quantile`` reads.
     """
 
-    sorted_values: np.ndarray
-    regime: str
-    block_starts: np.ndarray
     block_stats: np.ndarray
+    regime: str
     n_failed: int = 0
+
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        return np.sort(self.block_stats[~np.isnan(self.block_stats)])
 
     def __len__(self) -> int:
         return self.sorted_values.size
@@ -77,7 +82,6 @@ class TestReport:
     statistic: float
     threshold: float
     rejected: bool
-    regime: str = ""
 
 
 def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,
@@ -116,6 +120,9 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     ``BLOCK_CHUNK_ELEMENTS`` elements at a time.  Failed block solves are
     recorded as NaN; NumericError above the 1% tolerance (isolated
     failures must not silently bias the quantiles).
+
+    Returns (stats, failed): one statistic per block, block i starting at
+    row i, and the number of failed blocks.
     """
     n, p = data.n, data.p
     if not 1 < m < n:
@@ -123,6 +130,8 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (p,):
         raise DimensionError(f"mu0 must have shape ({p},), got {mu0.shape}")
+    if not np.isfinite(mu0).all():
+        raise DomainError("mu0 must be finite")
     lam = replace(cfg, lam=None).penalty(m, p)
     windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
     n_blocks = len(windows)
@@ -145,18 +154,14 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     if failed > MAX_BLOCK_FAILURE_RATE * n_blocks:
         raise NumericError(
             f"{failed}/{n_blocks} subsample blocks failed to converge")
-    return np.arange(n_blocks), stats, failed
+    return stats, failed
 
 
 def build_curve_ne(data: DataMatrix, mu0, m: int,
                    cfg: PelConfig) -> CalibrationCurve:
     """Subsampling estimate of the null law of the raw statistic (NE regime)."""
-    starts, stats, failed = _block_statistics(data, mu0, m, cfg)
-    ok = ~np.isnan(stats)
-    return CalibrationCurve(
-        sorted_values=np.sort(stats[ok]), regime="ne",
-        block_starts=starts, block_stats=stats, n_failed=failed,
-    )
+    stats, failed = _block_statistics(data, mu0, m, cfg)
+    return CalibrationCurve(stats, "ne", failed)
 
 
 def ergodic_scale(p: int, alpha_hat: float) -> float:
@@ -180,13 +185,9 @@ def build_curve_ergodic(data: DataMatrix, mu0, m: int, alpha_hat: float,
     """
     if not np.isfinite(alpha_hat):
         raise DomainError(f"alpha_hat must be finite, got {alpha_hat}")
-    starts, stats, failed = _block_statistics(data, mu0, m, cfg)
+    stats, failed = _block_statistics(data, mu0, m, cfg)
     v = ergodic_scale(data.p, alpha_hat) * (stats - cfg.c_star)
-    ok = ~np.isnan(v)
-    return CalibrationCurve(
-        sorted_values=np.sort(v[ok]), regime="ergodic",
-        block_starts=starts, block_stats=v, n_failed=failed,
-    )
+    return CalibrationCurve(v, "ergodic", failed)
 
 
 def quantile(curve: CalibrationCurve, q: float) -> float:
@@ -330,7 +331,7 @@ def decide(statistic: float, curve: CalibrationCurve, level: float) -> TestRepor
     threshold = quantile(curve, 1.0 - level)
     return TestReport(
         statistic=float(statistic), threshold=threshold,
-        rejected=bool(statistic > threshold), regime=curve.regime,
+        rejected=bool(statistic > threshold),
     )
 
 

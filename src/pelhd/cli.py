@@ -136,10 +136,8 @@ def _cmd_calibrate(args) -> int:
             alpha_hat = float(args.alpha_hat)
         curve = calibration.build_curve_ergodic(data, mu, args.m, alpha_hat, cfg)
     lines = ["block_start_index,statistic"]
-    lines += [
-        f"{int(start)},{repr(float(stat))}"
-        for start, stat in zip(curve.block_starts, curve.block_stats)
-    ]
+    lines += [f"{start},{float(stat)!r}"
+              for start, stat in enumerate(curve.block_stats)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -128,9 +128,7 @@ class PelSolution:
 
     pi: np.ndarray
     stat: float
-    m_vec: np.ndarray
     iterations: int
-    converged: bool
     kkt_residual: float
 
 
@@ -158,7 +156,8 @@ def _moments(x):
 def compute_column_stats(values) -> DataMatrix:
     """Build a DataMatrix: column means, divisor-n variances, delta weights.
 
-    Raises DimensionError for fewer than 2 rows.
+    Raises DimensionError for fewer than 2 rows and DomainError for a
+    NaN or infinite entry (it makes its column's mean non-finite).
     """
     x = np.array(values, dtype=float)
     if x.ndim != 2:
@@ -168,7 +167,13 @@ def compute_column_stats(values) -> DataMatrix:
         raise DimensionError(f"need at least 2 rows, got {n}")
     if p < 1:
         raise DimensionError("need at least 1 column")
-    mean, var, delta = _moments(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # non-finite entries are reported below, not as warnings
+        mean, var, delta = _moments(x)
+    bad = ~(np.isfinite(mean) & np.isfinite(var))
+    if bad.any():
+        raise DomainError(
+            f"non-finite mean or variance in column {np.flatnonzero(bad)[0]}")
     for arr in (x, mean, var, delta):
         arr.setflags(write=False)
     return DataMatrix(values=x, col_mean=mean, col_var=var, delta=delta)
@@ -380,6 +385,17 @@ def _newton(pi, lin, tol, max_iters):
     residual = np.full(n_rows, np.inf)
     pi, gpi_out = pi.copy(), np.empty_like(pi)
     rows, x = np.arange(n_rows), pi
+
+    def retire(mask, it, *arrays):
+        """Record the rows in ``mask`` as finished at iteration ``it`` with
+        the current x and G x, drop them from the stack, and return the
+        kept rows of ``rows``, ``x`` and each of ``arrays``."""
+        pi[rows[mask]], gpi_out[rows[mask]] = x[mask], gpi[mask]
+        iterations[rows[mask]] = it
+        keep = ~mask
+        lin.keep(keep)
+        return [a[keep] for a in (rows, x, *arrays)]
+
     for it in range(max_iters + 1):
         gpi = lin.matvec(x)
         grad = -1.0 / x + gpi
@@ -388,26 +404,18 @@ def _newton(pi, lin, tol, max_iters):
         converged[rows] = res < tol
         done = converged[rows] | (it == max_iters)
         if done.any():
-            pi[rows[done]], gpi_out[rows[done]] = x[done], gpi[done]
-            iterations[rows[done]] = it
-            keep = ~done
-            if not keep.any():
+            rows, x, grad, gpi = retire(done, it, grad, gpi)
+            if not rows.size:
                 break
-            lin.keep(keep)
-            rows, x, grad, gpi = rows[keep], x[keep], grad[keep], gpi[keep]
         d = lin.step(x, grad)
         # the squared Newton decrement: -g'd equals d'Hd at the KKT solution
         dec = -np.einsum("ij,ij->i", grad, d)
         t = _step_lengths(x, d, gpi, lin.quad, dec)
         failed = np.isnan(t)
         if failed.any():
-            pi[rows[failed]], gpi_out[rows[failed]] = x[failed], gpi[failed]
-            iterations[rows[failed]] = it
-            keep = ~failed
-            if not keep.any():
+            rows, x, d, t = retire(failed, it, d, t)
+            if not rows.size:
                 break
-            lin.keep(keep)
-            rows, x, d, t = rows[keep], x[keep], d[keep], t[keep]
         x = x + t[:, None] * d
         x /= x.sum(axis=1, keepdims=True)
     return pi, gpi_out, iterations, converged, residual
@@ -461,8 +469,9 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     n, p = data.n, data.p
     if mu.shape != (p,):
         raise DimensionError(f"mu must have shape ({p},), got {mu.shape}")
-    y = data.values - mu
-    ytil = y * np.sqrt(data.delta)
+    if not np.isfinite(mu).all():
+        raise DomainError("mu must be finite")
+    ytil = (data.values - mu) * np.sqrt(data.delta)
     pi, stat, iters, ok, res = _solve_stack(ytil[None], cfg.penalty(n, p), cfg)
     pi, res = pi[0], float(res[0])
     logger.debug("solve_pel: path=%s n=%d p=%d iterations=%d residual=%.3e",
@@ -473,10 +482,8 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
             f"(residual {res:.3e} after {iters[0]} iterations)",
             best_pi=pi, residual=res,
         )
-    return PelSolution(
-        pi=pi, stat=float(stat[0]), m_vec=y.T @ pi, iterations=int(iters[0]),
-        converged=True, kkt_residual=res,
-    )
+    return PelSolution(pi=pi, stat=float(stat[0]), iterations=int(iters[0]),
+                       kkt_residual=res)
 
 
 def neg_log_pel_ratio(data: DataMatrix, mu, cfg: PelConfig) -> float:

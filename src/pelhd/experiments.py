@@ -120,10 +120,13 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Hash of the scientific fields (the output path excluded)."""
         dep = self.dependence
+        # "sigma=None" stands for a per-component scale that DependenceSpec
+        # no longer has; it stays in the hashed text so that every hash
+        # computed before keeps its value.
         parts = [
             f"mode={self.mode}", f"n={self.n}", f"p={self.p}",
             f"kind={dep.kind}", f"alpha={dep.alpha}", f"ar={dep.ar}",
-            f"ma={dep.ma}", f"burn_in={dep.burn_in}", f"sigma={dep.sigma}",
+            f"ma={dep.ma}", f"burn_in={dep.burn_in}", "sigma=None",
             f"c_star={self.c_star}", f"levels={self.levels}",
             f"m_rules={self.m_rules}", f"n_replicates={self.n_replicates}",
             f"seed={self.seed}", f"mu1_scale={self.mu1_scale}",
@@ -383,7 +386,7 @@ def load_experiment_configs(text: str) -> list[ExperimentConfig]:
     dep = _dependence_from(mapping)
     try:
         n = int(mapping["n"])
-        ps = [int(float(v)) for v in mapping["p"].split(",") if v.strip()]
+        ps = [int(v) for v in mapping["p"].split(",") if v.strip()]
         n_replicates = int(mapping["n_replicates"])
         seed = int(mapping["seed"])
     except ValueError as exc:

@@ -52,6 +52,10 @@ def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionError("rho0_grid must be a square matrix")
     q = r.shape[0]
+    if q < 1:
+        raise DimensionError("rho0_grid must not be empty")
+    if n_draws < 1:
+        raise DimensionError(f"n_draws must be >= 1, got {n_draws}")
     if not np.allclose(r, r.T, atol=1e-10):
         raise DomainError("rho0_grid must be symmetric")
     if not np.allclose(np.diag(r), 1.0, atol=1e-8):
@@ -91,6 +95,8 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
     if p_surrogate < 2:
         raise DimensionError("p_surrogate must be >= 2")
+    if n_draws < 1:
+        raise DimensionError(f"n_draws must be >= 1, got {n_draws}")
     u = lrd_correlation(p_surrogate, alpha).chol_upper
     rng = np.random.default_rng(seed)
     scale = c_star * p_surrogate ** (alpha - 1.0)

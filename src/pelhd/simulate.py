@@ -62,8 +62,8 @@ _FILTER_BLOCK = 32
 class DependenceSpec:
     """Tagged description of a generating process: NE | LRD(alpha) | SRD(arma).
 
-    ``sigma`` holds optional per-component scales (default all 1); it is
-    applied by ``generate`` after the unit-scale draw.
+    ``alpha`` is read for LRD only; ``ar``, ``ma`` and ``burn_in`` for SRD
+    only.  Every regime draws unit-scale components.
     """
 
     kind: str
@@ -71,7 +71,6 @@ class DependenceSpec:
     ar: tuple[float, float] = DEFAULT_AR
     ma: tuple[float, float, float] = DEFAULT_MA
     burn_in: int = 500
-    sigma: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("ne", "lrd", "srd"):
@@ -84,29 +83,19 @@ class DependenceSpec:
             _check_causal(self.ar)
             if self.burn_in < 0:
                 raise ParameterError("burn_in must be >= 0")
-        if self.sigma is not None and any(s <= 0 for s in self.sigma):
-            raise ParameterError("sigma entries must be positive")
 
     @classmethod
-    def non_ergodic(cls, sigma=None) -> "DependenceSpec":
-        return cls(kind="ne", sigma=_as_sigma(sigma))
+    def non_ergodic(cls) -> "DependenceSpec":
+        return cls(kind="ne")
 
     @classmethod
-    def long_range(cls, alpha: float, sigma=None) -> "DependenceSpec":
-        return cls(kind="lrd", alpha=alpha, sigma=_as_sigma(sigma))
+    def long_range(cls, alpha: float) -> "DependenceSpec":
+        return cls(kind="lrd", alpha=alpha)
 
     @classmethod
-    def short_range_arma(cls, ar=DEFAULT_AR, ma=DEFAULT_MA, burn_in=500,
-                         sigma=None) -> "DependenceSpec":
-        return cls(kind="srd", ar=tuple(ar), ma=tuple(ma), burn_in=burn_in,
-                   sigma=_as_sigma(sigma))
-
-    @property
-    def hurst(self) -> float:
-        """H = (2 - alpha)/2 for the LRD regime."""
-        if self.kind != "lrd":
-            raise DomainError("Hurst parameter is defined for LRD only")
-        return 0.5 * (2.0 - self.alpha)
+    def short_range_arma(cls, ar=DEFAULT_AR, ma=DEFAULT_MA,
+                         burn_in=500) -> "DependenceSpec":
+        return cls(kind="srd", ar=tuple(ar), ma=tuple(ma), burn_in=burn_in)
 
     @property
     def decay_exponent(self) -> float:
@@ -116,10 +105,6 @@ class DependenceSpec:
         if self.kind == "srd":
             return math.inf
         return self.alpha
-
-
-def _as_sigma(sigma):
-    return None if sigma is None else tuple(float(s) for s in sigma)
 
 
 def _check_causal(ar):
@@ -158,16 +143,13 @@ def ne_basis(t) -> np.ndarray:
     return phi
 
 
-def gen_non_ergodic(n: int, p: int, seed, sigma=None) -> np.ndarray:
-    """Rows X_i = (sigma_j * W(j/p))_j with W the 31-term basis expansion."""
+def gen_non_ergodic(n: int, p: int, seed) -> np.ndarray:
+    """Rows X_i = (W(j/p))_j, j = 1..p, with W the 31-term basis expansion."""
     if n < 1 or p < 1:
         raise DimensionError("n and p must be >= 1")
     phi = ne_basis(np.arange(1, p + 1) / p)
     z = np.random.default_rng(seed).standard_normal((n, _NE_TERMS))
-    x = _NE_WEIGHT * (z @ phi)
-    if sigma is not None:
-        x *= np.asarray(sigma, dtype=float)
-    return x
+    return _NE_WEIGHT * (z @ phi)
 
 
 def ne_correlation(q: int) -> np.ndarray:
@@ -328,19 +310,12 @@ def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
 
 
 def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
-    """Dispatch to the generator for ``spec`` and apply component scales."""
+    """An n x p sample of ``spec``'s regime, drawn by its generator."""
     if spec.kind == "ne":
-        x = gen_non_ergodic(n, p, seed)
-    elif spec.kind == "lrd":
-        x = gen_lrd(n, p, spec.alpha, seed)
-    else:
-        x = gen_srd_arma(n, p, spec, seed)
-    if spec.sigma is not None:
-        sig = np.asarray(spec.sigma, dtype=float)
-        if sig.shape != (p,):
-            raise DimensionError(f"sigma must have length p={p}")
-        x = x * sig
-    return x
+        return gen_non_ergodic(n, p, seed)
+    if spec.kind == "lrd":
+        return gen_lrd(n, p, spec.alpha, seed)
+    return gen_srd_arma(n, p, spec, seed)
 
 
 def arma_autocorrelations(ar, ma, nlags: int, n_psi: int = 4096) -> np.ndarray:

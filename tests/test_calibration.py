@@ -55,11 +55,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TIGHT = PelConfig(c_star=1.0, max_newton_iters=1)
 
 
-def _curve(values, regime="ne"):
-    values = np.asarray(values, dtype=float)
-    return CalibrationCurve(
-        sorted_values=np.sort(values), regime=regime,
-        block_starts=np.arange(values.size), block_stats=values)
+def _curve(values):
+    return CalibrationCurve(np.asarray(values, dtype=float), "ne")
 
 
 class TestSubsampleSize:
@@ -98,8 +95,6 @@ class TestCurves:
         for m in (2, 5, 11):
             curve = build_curve_ne(dm, np.zeros(4), m, CFG)
             assert len(curve) == 12 - m + 1
-            np.testing.assert_array_equal(
-                curve.block_starts, np.arange(12 - m + 1))
         assert len(build_curve_ne(dm, np.zeros(4), 11, CFG)) == 2
 
     def test_block_size_outside_1_n_rejected(self):
@@ -109,6 +104,14 @@ class TestCurves:
                 build_curve_ne(dm, np.zeros(4), m, CFG)
             with pytest.raises(DomainError):
                 build_curve_ergodic(dm, np.zeros(4), m, 0.5, CFG)
+
+    def test_non_finite_mu_rejected(self):
+        dm = compute_column_stats(rng_for("curve", 0).normal(size=(12, 4)))
+        mu0 = np.array([0.0, math.nan, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            build_curve_ne(dm, mu0, 5, CFG)
+        with pytest.raises(DomainError):
+            build_curve_ergodic(dm, mu0, 5, 0.5, CFG)
 
     def test_identical_rows_give_zero_statistics(self):
         x = np.tile([1.0, 2.0, 3.0], (10, 1))
@@ -388,7 +391,6 @@ class TestDecide:
         rep = decide(0.97, curve, 0.1)
         assert rep.rejected == (rep.statistic > rep.threshold)
         assert rep.threshold == quantile(curve, 0.9)
-        assert rep.regime == "ne"
 
     def test_level_domain(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,20 @@ class TestStatCommand:
                        "--m", "2") == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_input_is_config_error(self, tmp_path, cell):
+        good = tmp_path / "d.csv"
+        good.write_text("0.5,1.0\n-0.5,2.0\n1.5,0.0\n2.5,1.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0.5,1.0\n-0.5,{cell}\n1.5,0.0\n2.5,1.0\n")
+        bad_mu = tmp_path / "mu.csv"
+        bad_mu.write_text(f"0.0\n{cell}\n")
+        for cmd in (["stat"], ["calibrate", "--m", "2"]):
+            assert run_cli(*cmd, "--data", str(bad)) == EXIT_CONFIG
+            assert run_cli(*cmd, "--data", str(good),
+                           "--mu", str(bad_mu)) == EXIT_CONFIG
+
+
 class TestCalibrateCommand:
     def _data(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -193,6 +208,21 @@ class TestLimitsCommand:
         assert run_cli("limits", "--regime", "lrd", "--alpha", "0.7",
                        "--draws", "10", "--seed", "1") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args", [
+        ("--regime", "ne", "--draws", "-5"),
+        ("--regime", "ne", "--draws", "0"),
+        ("--regime", "ne", "--q", "0"),
+        ("--regime", "lrd", "--alpha", "0.1", "--p-surrogate", "256",
+         "--draws", "-5"),
+        ("--regime", "lrd", "--alpha", "0.1", "--p-surrogate", "256",
+         "--draws", "0"),
+    ])
+    def test_bad_sizes_exit_2(self, tmp_path, args):
+        out = tmp_path / "draws.csv"
+        assert run_cli("limits", *args, "--seed", "1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_2(self):
@@ -212,6 +242,15 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "stat", boom)
         assert run_cli("stat", "--data", "whatever.csv") == EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("module", ["simulate", "core", "calibration",
+                                    "limits", "experiments"])
+def test_every_public_name_resolves(module):
+    # pelbench wraps each name in __all__ of these modules through
+    # getattr, so a name deleted but left in __all__ breaks every run
+    mod = importlib.import_module(f"pelhd.{module}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_import_loads_no_scipy():

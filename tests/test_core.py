@@ -138,6 +138,13 @@ class TestColumnStats:
         with pytest.raises(DimensionError):
             compute_column_stats([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        x = np.arange(12.0).reshape(4, 3)
+        x[2, 1] = bad
+        with pytest.raises(DomainError, match="column 1"):
+            compute_column_stats(x)
+
 
 class TestObjective:
     def test_zero_at_uniform_and_mean(self):
@@ -184,7 +191,6 @@ class TestSolvePel:
     def test_optimum_at_mean(self):
         dm, _ = random_instance(rng_for("solve", 0), n=20, p=3)
         sol = solve_pel(dm, dm.col_mean, PelConfig(c_star=1.0))
-        assert sol.converged
         np.testing.assert_allclose(sol.pi, 1.0 / 20, rtol=1e-12)
         assert abs(sol.stat) < 1e-10
 
@@ -200,7 +206,6 @@ class TestSolvePel:
         dm = compute_column_stats(np.tile([2.0, -1.0], (8, 1)))
         sol = solve_pel(dm, np.array([0.5, 0.5]), PelConfig(c_star=1.0))
         assert sol.stat == 0.0
-        assert sol.converged
 
     def test_grid_oracle_example(self):
         dm = compute_column_stats([[-1.0], [0.0], [1.0]])
@@ -227,7 +232,6 @@ class TestSolvePel:
         for _ in range(15):
             dm, mu = random_instance(rng, n=int(rng.integers(5, 40)))
             sol = solve_pel(dm, mu, cfg)
-            assert sol.converged
             assert sol.kkt_residual < cfg.newton_tol
             assert abs(sol.pi.sum() - 1.0) < 1e-12
             assert np.all(sol.pi > 0)
@@ -242,13 +246,17 @@ class TestSolvePel:
             lam = cfg.penalty(dm.n, dm.p)
             recomputed = objective_direct(sol.pi, dm.values - mu, dm.delta, lam)
             assert sol.stat == pytest.approx(recomputed, rel=1e-10, abs=1e-12)
-            np.testing.assert_allclose(
-                sol.m_vec, (dm.values - mu).T @ sol.pi, rtol=1e-10, atol=1e-12)
 
     def test_mu_shape_checked(self):
         dm, _ = random_instance(rng_for("solve", 5), n=4, p=2)
         with pytest.raises(DimensionError):
             solve_pel(dm, np.zeros(3), PelConfig(c_star=1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, bad):
+        dm, _ = random_instance(rng_for("solve", 5), n=4, p=2)
+        with pytest.raises(DomainError):
+            solve_pel(dm, np.array([0.0, bad]), PelConfig(c_star=1.0))
 
     def test_budget_exhaustion_raises_with_diagnostics(self):
         dm, mu = random_instance(rng_for("solve", 6), n=8, p=2)

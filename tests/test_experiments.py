@@ -128,6 +128,16 @@ class TestFlatConfigParsing:
         with pytest.raises(ConfigError):
             parse_flat_config("just some words")
 
+    @pytest.mark.parametrize("key,value", [("n", "50.0"), ("p", "20.7"),
+                                           ("p", "16, 20.0")])
+    def test_sizes_must_be_integers(self, key, value):
+        sizes = {"n": "50", "p": "20"}
+        sizes[key] = value
+        with pytest.raises(ConfigError):
+            load_experiment_configs(
+                "mode=level\ndependence=srd\nn_replicates=5\nseed=1\n"
+                f"n={sizes['n']}\np={sizes['p']}")
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
             load_experiment_configs("mode=level\ndependence=srd\nn=50\np=20")

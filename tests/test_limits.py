@@ -76,6 +76,11 @@ class TestNeLimitSampler:
             sample_ne_limit(bad, 1.0, 10, 0)
         with pytest.raises(DomainError):
             sample_ne_limit(2 * np.eye(4), 1.0, 10, 0)  # diagonal != 1
+        with pytest.raises(DimensionError):
+            sample_ne_limit(np.empty((0, 0)), 1.0, 10, 0)
+        for n_draws in (0, -5):
+            with pytest.raises(DimensionError):
+                sample_ne_limit(np.eye(4), 0.1, n_draws, 0)
 
 
 class TestLrdLimitSampler:
@@ -105,6 +110,11 @@ class TestLrdLimitSampler:
         for alpha in (0.0, 0.5, 0.7, -0.1):
             with pytest.raises(DomainError):
                 sample_lrd_limit(alpha, 256, 10, 0)
+
+    def test_draw_count_checked(self):
+        for n_draws in (0, -5):
+            with pytest.raises(DimensionError):
+                sample_lrd_limit(0.1, 256, n_draws, 0)
 
     @pytest.mark.slow
     def test_surrogate_length_self_convergence(self):

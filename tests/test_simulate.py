@@ -52,12 +52,6 @@ class TestNonErgodic:
         expect = ne_basis_covariance(np.arange(1, 40) / 39.0)
         np.testing.assert_allclose(np.diag(expect), E1**2 * 8.5, rtol=1e-12)
 
-    def test_sigma_scaling(self):
-        sigma = np.array([1.0, 2.0, 0.5])
-        a = gen_non_ergodic(50, 3, rng_for("ne", 3))
-        b = gen_non_ergodic(50, 3, rng_for("ne", 3), sigma=sigma)
-        np.testing.assert_allclose(a * sigma, b, rtol=1e-14)
-
     def test_row_permutation_keeps_column_law(self):
         x = gen_non_ergodic(500, 4, rng_for("ne", 4))
         shuffled = x[rng_for("ne", 5).permutation(500)]
@@ -243,24 +237,14 @@ class TestDeterminismAndDispatch:
         c = generate(spec, 30, 12, 992)
         assert not np.array_equal(a, c)
 
-    def test_generate_applies_sigma(self):
-        spec = DependenceSpec.long_range(0.8, sigma=[2.0] * 5)
-        plain = DependenceSpec.long_range(0.8)
-        a = generate(spec, 10, 5, 3)
-        b = generate(plain, 10, 5, 3)
-        np.testing.assert_allclose(a, 2.0 * b, rtol=1e-14)
-
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             DependenceSpec.long_range(1.2)
         with pytest.raises(ParameterError):
             DependenceSpec(kind="weird")
-        with pytest.raises(ParameterError):
-            DependenceSpec.short_range_arma(sigma=[1.0, -1.0])
         for ar in ((0.1,), (0.1, 0.1, 0.1)):
             with pytest.raises(ParameterError):
                 DependenceSpec.short_range_arma(ar=ar)
-        assert DependenceSpec.long_range(0.8).hurst == pytest.approx(0.6)
         assert DependenceSpec.non_ergodic().decay_exponent == 0.0
         assert DependenceSpec.short_range_arma().decay_exponent == math.inf
 
