@@ -133,7 +133,12 @@ def _cmd_calibrate(args) -> int:
         if args.alpha_hat == "auto":
             alpha_hat = calibration.estimate_alpha_hurst(data)
         else:
-            alpha_hat = float(args.alpha_hat)
+            try:
+                alpha_hat = float(args.alpha_hat)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"--alpha-hat must be a number or 'auto', "
+                    f"got {args.alpha_hat!r}") from exc
         curve = calibration.build_curve_ergodic(data, mu, args.m, alpha_hat, cfg)
     lines = ["block_start_index,statistic"]
     lines += [f"{start},{float(stat)!r}"

@@ -389,6 +389,8 @@ def load_experiment_configs(text: str) -> list[ExperimentConfig]:
         ps = [int(v) for v in mapping["p"].split(",") if v.strip()]
         n_replicates = int(mapping["n_replicates"])
         seed = int(mapping["seed"])
+        c_star = float(mapping.get("c_star", 1.0))
+        mu1_scale = float(mapping.get("mu1_scale", 1.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     levels = _floats(mapping["levels"]) if "levels" in mapping else (0.05, 0.1)
@@ -401,9 +403,9 @@ def load_experiment_configs(text: str) -> list[ExperimentConfig]:
     return [
         ExperimentConfig(
             mode=mapping["mode"].lower(), n=n, p=p, dependence=dep,
-            c_star=float(mapping.get("c_star", 1.0)),
+            c_star=c_star,
             levels=levels, m_rules=m_rules, n_replicates=n_replicates,
-            seed=seed, mu1_scale=float(mapping.get("mu1_scale", 1.0)),
+            seed=seed, mu1_scale=mu1_scale,
             output_path=mapping.get("out"),
         )
         for p in ps

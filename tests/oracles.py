@@ -206,3 +206,41 @@ def ne_basis_covariance(points):
         phi.append(np.cos(2 * np.pi * j * t) / math.sqrt(2.0))
     phi = np.asarray(phi)
     return weight**2 * (phi.T @ phi)
+
+
+def ne_limit_inverse_form(r, c_star, n_draws, seed):
+    """Non-ergodic limit draws by the inverse-operator form, solved directly.
+
+    Draws G ~ N(0, I_q) of shape (q, n_draws) as the library does, sets
+    Z = Q L^(1/2) G from eigh(R0) = Q L Q', and returns
+    (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z per column by an LU solve.
+    """
+    r = np.asarray(r, dtype=float)
+    q = r.shape[0]
+    evals, evecs = np.linalg.eigh(r)
+    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    g = np.random.default_rng(seed).standard_normal((q, n_draws))
+    z = root @ g
+    v = np.linalg.solve(np.eye(q) + (2.0 * c_star / q) * r, z)
+    return (c_star / q) * np.einsum("ij,ij->j", z, v)
+
+
+def lrd_limit_dense(u, alpha, n_draws, seed, c_star=1.0):
+    """LRD surrogate draws c* p^(alpha-1) (||G U||^2 - p) by a dense product.
+
+    u is the p x p upper Cholesky factor; G is drawn in batches of
+    2 000 000 // p rows as the library does, and each batch is multiplied
+    by the whole of u, zeros included.
+    """
+    p = u.shape[0]
+    rng = np.random.default_rng(seed)
+    scale = c_star * p ** (alpha - 1.0)
+    out = np.empty(n_draws)
+    batch = max(1, min(n_draws, 2_000_000 // p))
+    done = 0
+    while done < n_draws:
+        b = min(batch, n_draws - done)
+        z = rng.standard_normal((b, p)) @ u
+        out[done:done + b] = scale * (np.sum(z**2, axis=1) - p)
+        done += b
+    return out

@@ -144,6 +144,14 @@ class TestCalibrateCommand:
                 for line in out.read_text().strip().splitlines()[1:]]
         assert any(v < 0 for v in vals)  # centered statistics change sign
 
+    def test_bad_alpha_hat_is_config_error(self, tmp_path):
+        data = self._data(tmp_path)
+        out = tmp_path / "curve.csv"
+        assert run_cli("calibrate", "--data", str(data), "--m", "10",
+                       "--regime", "ergodic", "--alpha-hat", "abc",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_runs_config_file(self, tmp_path):
@@ -176,6 +184,17 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config",
                        str(tmp_path / "missing.ini")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["c_star = abc", "mu1_scale = x"])
+    def test_non_numeric_value_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "mode = level\ndependence = srd\nn = 40\np = 16\n"
+            f"n_replicates = 2\nseed = 3\n{line}\n")
+        out = tmp_path / "res.csv"
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_zero_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -207,6 +226,16 @@ class TestLimitsCommand:
     def test_lrd_alpha_out_of_range(self):
         assert run_cli("limits", "--regime", "lrd", "--alpha", "0.7",
                        "--draws", "10", "--seed", "1") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("c_star", ["-1", "nan"])
+    @pytest.mark.parametrize("regime", [("ne",), ("lrd", "--alpha", "0.1")],
+                             ids=["ne", "lrd"])
+    def test_bad_c_star_exits_2(self, tmp_path, regime, c_star):
+        out = tmp_path / "draws.csv"
+        assert run_cli("limits", "--regime", *regime, "--c-star", c_star,
+                       "--p-surrogate", "256", "--draws", "10", "--seed", "1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ("--regime", "ne", "--draws", "-5"),

@@ -138,6 +138,14 @@ class TestFlatConfigParsing:
                 "mode=level\ndependence=srd\nn_replicates=5\nseed=1\n"
                 f"n={sizes['n']}\np={sizes['p']}")
 
+    @pytest.mark.parametrize("key,value", [("c_star", "abc"),
+                                           ("mu1_scale", "x")])
+    def test_numbers_must_parse(self, key, value):
+        with pytest.raises(ConfigError):
+            load_experiment_configs(
+                "mode=level\ndependence=srd\nn=50\np=20\nn_replicates=5\n"
+                f"seed=1\n{key}={value}")
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
             load_experiment_configs("mode=level\ndependence=srd\nn=50\np=20")
