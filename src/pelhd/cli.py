@@ -50,10 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kind", required=True, choices=["ne", "lrd", "srd"])
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--p", type=int, required=True)
-    p_sim.add_argument("--alpha", type=float, default=None, help="LRD exponent")
-    p_sim.add_argument("--ar", default=None, help="comma-separated AR coefficients")
-    p_sim.add_argument("--ma", default=None, help="comma-separated MA coefficients")
-    p_sim.add_argument("--burn-in", type=int, default=500)
+    keys = experiments.CONFIG_KEYS
+    p_sim.add_argument("--alpha", type=keys["alpha"], help="LRD exponent")
+    p_sim.add_argument("--ar", type=keys["ar"], help="AR coefficients a1,a2")
+    p_sim.add_argument("--ma", type=keys["ma"], help="MA coefficients b1,b2,...")
+    p_sim.add_argument("--burn-in", type=keys["burn_in"])
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -113,10 +114,8 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    keys = {"dependence": args.kind, "alpha": args.alpha, "ar": args.ar,
-            "ma": args.ma, "burn_in": args.burn_in}
-    spec = experiments._dependence_from(
-        {k: str(v) for k, v in keys.items() if v is not None})
+    spec = experiments.dependence_spec(args.kind, alpha=args.alpha, ar=args.ar,
+                                       ma=args.ma, burn_in=args.burn_in)
     x = simulate.generate(spec, args.n, args.p, args.seed)
     _emit(simulate._format_matrix_csv(x, args.kind, args.seed), args.out)
     return EXIT_OK

@@ -42,6 +42,8 @@ __all__ = [
     "run_experiment",
     "load_experiment_configs",
     "parse_flat_config",
+    "dependence_spec",
+    "CONFIG_KEYS",
     "rows_to_csv",
     "RESULT_COLUMNS",
 ]
@@ -300,16 +302,41 @@ def rows_to_csv(rows: list[dict]) -> str:
 # Flat key = value config files
 # --------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "mode", "dependence", "alpha", "ar", "ma", "burn_in", "n", "p",
-    "c_star", "levels", "m_rules", "n_replicates", "seed", "mu1_scale",
-    "out",
+
+def _listed(parse):
+    """The parser of a comma-separated list whose items ``parse`` reads."""
+    def comma_list(value: str) -> tuple:
+        return tuple(parse(v) for v in value.split(",") if v.strip())
+    return comma_list
+
+
+def _m_rule(item: str) -> tuple[str, float]:
+    rule, c0 = item.split(":")
+    return rule.strip(), float(c0)
+
+
+# Every config key and the parser of its value (ValueError if it is bad).
+# p lists one ExperimentConfig each and out sets output_path; dependence and
+# the regime keys build the DependenceSpec; the rest set their own field.
+CONFIG_KEYS = {
+    "mode": str.lower, "n": int, "p": _listed(int), "c_star": float,
+    "levels": _listed(float), "m_rules": _listed(_m_rule),
+    "n_replicates": int, "seed": int, "mu1_scale": float, "out": str,
+    "dependence": str.lower, "alpha": float, "ar": _listed(float),
+    "ma": _listed(float), "burn_in": int,
 }
 
+# The DependenceSpec fields each regime reads.  The keys of the other
+# regimes are not passed on, so they leave config_hash unchanged.
+_REGIME_KEYS = {"ne": (), "lrd": ("alpha",), "srd": ("ar", "ma", "burn_in")}
 
-def parse_flat_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines skipped."""
-    out: dict[str, str] = {}
+
+def parse_flat_config(text: str) -> dict[str, object]:
+    """Parse ``key = value`` lines; '#' starts a comment, blank lines skipped.
+
+    Returns each key set with its value typed by its ``CONFIG_KEYS`` parser.
+    """
+    out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -317,96 +344,47 @@ def parse_flat_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip().lower()
-        if key not in _KNOWN_KEYS:
+        key, value = key.strip().lower(), value.strip()
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
+        try:
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lineno}: bad value {value!r} for {key!r}: {exc}") from exc
     return out
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in value.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {value!r}") from exc
-
-
-def _dependence_from(mapping: dict[str, str]) -> DependenceSpec:
-    kind = mapping.get("dependence", "").lower()
-    try:
-        if kind == "ne":
-            return DependenceSpec.non_ergodic()
-        if kind == "lrd":
-            if "alpha" not in mapping:
-                raise ConfigError("lrd dependence requires 'alpha'")
-            return DependenceSpec.long_range(float(mapping["alpha"]))
-        if kind == "srd":
-            ar = _floats(mapping["ar"]) if "ar" in mapping else None
-            ma = _floats(mapping["ma"]) if "ma" in mapping else None
-            kwargs = {}
-            if ar is not None:
-                kwargs["ar"] = ar
-            if ma is not None:
-                kwargs["ma"] = ma
-            if "burn_in" in mapping:
-                kwargs["burn_in"] = int(mapping["burn_in"])
-            return DependenceSpec.short_range_arma(**kwargs)
-    except PelhdError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"dependence must be ne, lrd or srd, got {mapping.get('dependence')!r}")
-
-
-def _m_rules_from(value: str) -> tuple[tuple[str, float], ...]:
-    rules = []
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" not in item:
-            raise ConfigError(f"m-rule must look like 'ergodic:1', got {item!r}")
-        rule, c0 = item.split(":", 1)
-        try:
-            rules.append((rule.strip(), float(c0)))
-        except ValueError as exc:
-            raise ConfigError(f"bad m-rule constant in {item!r}") from exc
-    return tuple(rules)
+def dependence_spec(kind, **keys) -> DependenceSpec:
+    """The DependenceSpec of regime ``kind``; a key absent or None keeps its default."""
+    if kind not in _REGIME_KEYS:
+        raise ConfigError(f"dependence must be ne, lrd or srd, got {kind!r}")
+    given = {k: keys[k] for k in _REGIME_KEYS[kind] if keys.get(k) is not None}
+    if kind == "lrd" and "alpha" not in given:
+        raise ConfigError("lrd dependence requires 'alpha'")
+    return DependenceSpec(kind=kind, **given)
 
 
 def load_experiment_configs(text: str) -> list[ExperimentConfig]:
-    """Expand a flat config into one ExperimentConfig per requested p."""
-    mapping = parse_flat_config(text)
+    """Expand a flat config into one ExperimentConfig per requested p.
+
+    Only the typed values the file sets are passed on; the other fields
+    keep their dataclass defaults, except m_rules, whose default depends
+    on the regime.
+    """
+    values = parse_flat_config(text)
     for key in ("mode", "n", "p", "n_replicates", "seed"):
-        if key not in mapping:
+        if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
-    dep = _dependence_from(mapping)
-    try:
-        n = int(mapping["n"])
-        ps = [int(v) for v in mapping["p"].split(",") if v.strip()]
-        n_replicates = int(mapping["n_replicates"])
-        seed = int(mapping["seed"])
-        c_star = float(mapping.get("c_star", 1.0))
-        mu1_scale = float(mapping.get("mu1_scale", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    levels = _floats(mapping["levels"]) if "levels" in mapping else (0.05, 0.1)
-    if "m_rules" in mapping:
-        m_rules = _m_rules_from(mapping["m_rules"])
-    elif dep.kind == "ne":
-        m_rules = (("ne-cuberoot", 1.0), ("ne-sqrt", 1.0), ("ne-sqrt", 2.0))
-    else:
-        m_rules = (("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0))
-    return [
-        ExperimentConfig(
-            mode=mapping["mode"].lower(), n=n, p=p, dependence=dep,
-            c_star=c_star,
-            levels=levels, m_rules=m_rules, n_replicates=n_replicates,
-            seed=seed, mu1_scale=mu1_scale,
-            output_path=mapping.get("out"),
-        )
-        for p in ps
-    ]
+    dep = dependence_spec(values.get("dependence"), **values)
+    kwargs = {k: v for k, v in values.items()
+              if k in ExperimentConfig.__dataclass_fields__}
+    kwargs.update(dependence=dep, output_path=values.get("out"))
+    if "m_rules" not in values:
+        kwargs["m_rules"] = (
+            (("ne-cuberoot", 1.0), ("ne-sqrt", 1.0), ("ne-sqrt", 2.0))
+            if dep.kind == "ne" else
+            (("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0)))
+    return [ExperimentConfig(**{**kwargs, "p": p}) for p in values["p"]]

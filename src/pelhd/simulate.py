@@ -111,12 +111,8 @@ def _check_causal(ar):
     if len(ar) != 2:
         raise ParameterError(f"ar must hold 2 coefficients, got {ar}")
     a1, a2 = ar
-    # 1 - a1 z - a2 z^2 must have all roots outside the unit disk.
-    if a2 == 0:
-        roots = [] if a1 == 0 else [1.0 / a1]
-    else:
-        roots = np.roots([-a2, -a1, 1.0])
-    if any(abs(r) <= 1.0 for r in np.atleast_1d(roots)):
+    # 1 - a1 z - a2 z^2 has no root in |z| <= 1 iff (a1, a2) is in this triangle
+    if not (abs(a2) < 1 and a1 + a2 < 1 and a2 - a1 < 1):
         raise ParameterError(f"AR polynomial is not causal for ar={ar}")
 
 
@@ -324,9 +320,11 @@ def arma_autocorrelations(ar, ma, nlags: int, n_psi: int = 4096) -> np.ndarray:
     psi_0 = 1, psi_j = b_j + a1 psi_{j-1} + a2 psi_{j-2} (b_j = 0 beyond the
     MA order); gamma(k) = sum_j psi_j psi_{j+k}.  The psi sequence decays
     geometrically for causal AR parts, so truncation at ``n_psi`` terms is
-    far below rounding error at the default.
+    far below rounding error at the default; it must exceed ``nlags``.
     """
     _check_causal(ar)
+    if nlags >= n_psi:
+        raise DimensionError(f"need nlags < n_psi, got nlags={nlags}, n_psi={n_psi}")
     a1, a2 = ar
     psi = [1.0]
     for j in range(1, n_psi):

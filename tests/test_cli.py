@@ -10,7 +10,7 @@ import pelhd
 
 from pelhd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cli_main
 from pelhd.errors import NumericError
-from pelhd.simulate import read_matrix_csv
+from pelhd.simulate import DependenceSpec, generate, read_matrix_csv
 
 
 def run_cli(*argv):
@@ -45,6 +45,23 @@ class TestSimulateCommand:
                      "--n", "4", "--p", "3", "--seed", "1",
                      "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
+
+    def test_srd_options_reach_the_spec(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli("simulate", "--kind", "srd", "--ar", "0.5,-0.3",
+                       "--ma", "0.2", "--burn-in", "20", "--alpha", "0.3",
+                       "--n", "5", "--p", "4", "--seed", "9",
+                       "--out", str(out)) == EXIT_OK
+        spec = DependenceSpec.short_range_arma(ar=(0.5, -0.3), ma=(0.2,),
+                                               burn_in=20)
+        np.testing.assert_array_equal(read_matrix_csv(out),
+                                      generate(spec, 5, 4, 9))
+        # without options the dataclass defaults apply
+        assert run_cli("simulate", "--kind", "srd", "--n", "5", "--p", "4",
+                       "--seed", "9", "--out", str(out)) == EXIT_OK
+        np.testing.assert_array_equal(
+            read_matrix_csv(out),
+            generate(DependenceSpec.short_range_arma(), 5, 4, 9))
 
     @pytest.mark.parametrize("ar", ["0.1", "0.1,x"])
     def test_bad_ar_is_config_error(self, tmp_path, ar):
@@ -184,12 +201,18 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config",
                        str(tmp_path / "missing.ini")) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("line", ["c_star = abc", "mu1_scale = x"])
+    @pytest.mark.parametrize("line", [
+        "c_star = abc", "mu1_scale = x", "alpha = x", "burn_in = 1.5",
+        "levels = 0.1,a", "m_rules = ergodic", "n_replicates = 2.0",
+        "seed = s",
+    ])
     def test_non_numeric_value_exits_2(self, tmp_path, line):
+        base = ["mode = level", "dependence = srd", "n = 40", "p = 16",
+                "n_replicates = 2", "seed = 3"]
+        key = line.split(" = ")[0]
         cfg = tmp_path / "exp.ini"
-        cfg.write_text(
-            "mode = level\ndependence = srd\nn = 40\np = 16\n"
-            f"n_replicates = 2\nseed = 3\n{line}\n")
+        cfg.write_text("\n".join(
+            [b for b in base if not b.startswith(f"{key} = ")] + [line, ""]))
         out = tmp_path / "res.csv"
         assert run_cli("experiment", "--config", str(cfg),
                        "--out", str(out)) == EXIT_CONFIG

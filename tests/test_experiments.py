@@ -138,13 +138,38 @@ class TestFlatConfigParsing:
                 "mode=level\ndependence=srd\nn_replicates=5\nseed=1\n"
                 f"n={sizes['n']}\np={sizes['p']}")
 
-    @pytest.mark.parametrize("key,value", [("c_star", "abc"),
-                                           ("mu1_scale", "x")])
+    @pytest.mark.parametrize("key,value", [
+        ("c_star", "abc"), ("mu1_scale", "x"), ("alpha", "x"),
+        ("burn_in", "1.5"), ("levels", "0.1,a"), ("m_rules", "ergodic"),
+        ("n_replicates", "2.0"), ("seed", "s"),
+    ])
     def test_numbers_must_parse(self, key, value):
-        with pytest.raises(ConfigError):
-            load_experiment_configs(
-                "mode=level\ndependence=srd\nn=50\np=20\nn_replicates=5\n"
-                f"seed=1\n{key}={value}")
+        # every value the file sets is parsed, also a key its regime ignores
+        keys = {"mode": "level", "dependence": "srd", "n": "50", "p": "20",
+                "n_replicates": "5", "seed": "1", key: value}
+        text = "\n".join(f"{k}={v}" for k, v in keys.items())
+        with pytest.raises(ConfigError, match=f"line [0-9]+: .*'{key}'"):
+            load_experiment_configs(text)
+
+    def test_values_come_typed(self):
+        assert parse_flat_config(
+            "P = 16, 24\nm_rules = ergodic:0.5, ne-sqrt:2\nout = a.csv\n"
+            "dependence = SRD\nburn_in = 20\nar = 0.5,-0.3") == {
+            "p": (16, 24), "m_rules": (("ergodic", 0.5), ("ne-sqrt", 2.0)),
+            "out": "a.csv", "dependence": "srd", "burn_in": 20,
+            "ar": (0.5, -0.3)}
+
+    @pytest.mark.parametrize("regime,foreign", [
+        ("dependence=srd", "alpha=0.3"),
+        ("dependence=lrd\nalpha=0.8", "ar=0.5,0.2\nburn_in=7"),
+        ("dependence=ne", "ar=0.5,0.2\nburn_in=7\nalpha=0.3"),
+    ])
+    def test_other_regimes_keys_leave_the_hash(self, regime, foreign):
+        text = f"mode=level\nn=50\np=20\nn_replicates=5\nseed=1\n{regime}"
+        plain = load_experiment_configs(text)[0]
+        mixed = load_experiment_configs(f"{text}\n{foreign}")[0]
+        assert mixed == plain
+        assert mixed.config_hash() == plain.config_hash()
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):

@@ -189,10 +189,25 @@ class TestGenSrdArma:
         np.fill_diagonal(emp, 0.0)
         assert np.max(np.abs(emp)) < 0.04
 
-    @pytest.mark.parametrize("ar", [(1.5, 0.0), (0.5, 0.5), (0.9, 0.2)])
+    @pytest.mark.parametrize("ar", [(1.5, 0.0), (0.5, 0.5), (0.9, 0.2),
+                                    (-1.75, -1.0)])
     def test_non_causal_rejected(self, ar):
         with pytest.raises(ParameterError):
             DependenceSpec.short_range_arma(ar=ar)
+
+    def test_causality_agrees_with_the_roots(self):
+        # off the unit circle, the stationarity triangle and the roots of
+        # 1 - a1 z - a2 z^2 give the same verdict
+        for a1, a2 in rng_for("causal", 0).uniform(-2.5, 2.5, size=(2000, 2)):
+            moduli = np.abs(np.roots([-a2, -a1, 1.0]))
+            if np.any(np.abs(moduli - 1.0) < 1e-9):
+                continue
+            try:
+                DependenceSpec.short_range_arma(ar=(a1, a2))
+                causal = True
+            except ParameterError:
+                causal = False
+            assert causal == bool(np.all(moduli > 1.0)), (a1, a2)
 
     def test_column_means_near_zero(self):
         spec = DependenceSpec.short_range_arma()
@@ -222,6 +237,14 @@ class TestArmaAutocorrelations:
     def test_white_noise(self):
         rho = arma_autocorrelations((0.0, 0.0), (0.0, 0.0, 0.0), 5)
         np.testing.assert_allclose(rho[1:], 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("nlags,n_psi", [(4096, 4096), (4097, 4096),
+                                             (6399, 4096), (10, 8)])
+    def test_lags_beyond_the_psi_terms_rejected(self, nlags, n_psi):
+        with pytest.raises(DimensionError):
+            arma_autocorrelations((-0.4, 0.1), (0.3, 0.5, 0.1), nlags, n_psi)
+        assert arma_autocorrelations(
+            (-0.4, 0.1), (0.3, 0.5, 0.1), n_psi - 1, n_psi).shape == (n_psi,)
 
 
 class TestDeterminismAndDispatch:
