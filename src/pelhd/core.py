@@ -13,23 +13,26 @@ built-in log barrier, so the minimizer is unique and interior.
 
 One Newton kernel finds it for a stack of B same-shape problems at once:
 ``solve_pel`` passes B = 1, the subsampling calibration passes the
-overlapping blocks of a curve, a chunk at a time, with the chunk size
-bounded by a fixed element budget (``calibration.BLOCK_CHUNK_ELEMENTS``)
-so that a curve's linear systems and data take a few MB at any n.  With
-G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the Hessian is
-diag(1/pi^2) + G.  The shape picks how a Newton step is computed, and
-nothing else: for n <= LOWRANK_RATIO p each iteration solves the bordered
-(n+1)-dimensional KKT systems built from the n x n Gram matrices; above
-that G, of rank at most p, is never formed, and a step goes through a
-p x p capacitance matrix of the n x p factor sqrt(2 lambda) Ytil in
-O(n p^2) time.  Memory therefore grows with n min(n, p).  Once the squared
-Newton decrement -g'd is below 1/16 the step is in the pure-Newton phase
-of this self-concordant objective and is taken in full, so convergence
-does not hinge on comparing objective values that differ by less than
-their rounding; larger steps backtrack to an Armijo decrease.  A problem
-leaves the stack once its KKT residual is below ``newton_tol``; one that
-Newton leaves unconverged is reported as such.  ``solve_pel`` logs the
-path, shape, iterations and residual of each solve at DEBUG level.
+overlapping blocks of a curve, a stack at a time.  A fixed element budget
+(``calibration.BLOCK_CHUNK_ELEMENTS``) bounds both what a stack holds
+(the Gram and KKT matrices of a block on the Gram path, its n x p factor
+on the low-rank path) and the blocks whose n x p data are standardized
+at once, so that a curve's linear systems and data take a few MB at any
+n.  With G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the
+Hessian is diag(1/pi^2) + G.  The shape picks how a Newton step is
+computed, and nothing else: for n <= LOWRANK_RATIO p each iteration solves
+the bordered (n+1)-dimensional KKT systems built from the n x n Gram
+matrices; above that G, of rank at most p, is never formed, and a step
+goes through a p x p capacitance matrix of the n x p factor
+sqrt(2 lambda) Ytil in O(n p^2) time.  Memory therefore grows with
+n min(n, p).  Once the squared Newton decrement -g'd is below 1/16 the step
+is in the pure-Newton phase of this self-concordant objective and is taken
+in full, so convergence does not hinge on comparing objective values that
+differ by less than their rounding; larger steps backtrack to an Armijo
+decrease.  A problem leaves the stack once its KKT residual is below
+``newton_tol``; one that Newton leaves unconverged is reported as such.
+``solve_pel`` logs the path, shape, iterations and residual of each solve
+at DEBUG level.
 """
 
 from __future__ import annotations
@@ -232,14 +235,18 @@ class _GramStep:
 
     name = "gram"
 
-    def __init__(self, ytil, lam):
-        n_rows, n, _ = ytil.shape
-        self.gram = np.matmul(ytil, ytil.transpose(0, 2, 1))
+    def __init__(self, gram, lam):
+        # ``gram`` (B, n, n) holds Ytil_b Ytil_b' and is scaled in place
+        n_rows, n, _ = gram.shape
+        self.shape, self.gram = (n_rows, n), gram
         self.gram *= 2.0 * lam
         self.kkt = np.zeros((n_rows, n + 1, n + 1))
         self.kkt[:, :n, n] = 1.0
         self.kkt[:, n, :n] = 1.0
         self.rhs = np.zeros((n_rows, n + 1, 1))
+
+    def penalized(self):
+        return self.gram.any(axis=(1, 2))
 
     def keep(self, rows):
         # the stack shrinks only when a row leaves it, so with B = 1 the
@@ -287,7 +294,10 @@ class _LowRankStep:
     name = "lowrank"
 
     def __init__(self, ytil, lam):
-        self.u = np.sqrt(2.0 * lam) * ytil
+        self.shape, self.u = ytil.shape[:2], np.sqrt(2.0 * lam) * ytil
+
+    def penalized(self):
+        return self.u.any(axis=(1, 2))
 
     def keep(self, rows):
         self.u = self.u[rows]
@@ -421,28 +431,36 @@ def _newton(pi, lin, tol, max_iters):
     return pi, gpi_out, iterations, converged, residual
 
 
-def _solve_stack(ytil, lam, cfg: PelConfig):
+def _make_step(ytil, lam):
+    """The Newton-step object ``_step_kind`` picks for a (B, n, p) stack of
+    Ytil_b = (X_b - mu) sqrt(delta_b) at penalty ``lam``."""
+    if _step_kind(*ytil.shape[1:]) is _LowRankStep:
+        return _LowRankStep(ytil, lam)
+    return _GramStep(np.matmul(ytil, ytil.transpose(0, 2, 1)), lam)
+
+
+def _solve_stack(lin, cfg: PelConfig):
     """Minimize the PEL criterion of B same-shape problems at once.
 
-    ``ytil`` (B, n, p) stacks Ytil_b = (X_b - mu) sqrt(delta_b).  Every row
-    starts at the uniform weights and runs the stacked Newton with the
-    linear algebra ``_step_kind`` picks for the shape: n x n Gram matrices
-    for n <= LOWRANK_RATIO p, the n x p factors above, so memory grows
-    with B n min(n, p).
+    ``lin`` (a _GramStep or a _LowRankStep) holds the matrices of the
+    stack.  Every row starts at the uniform weights and runs the stacked
+    Newton.
 
     Returns (pi, stat, iterations, converged, residual), one entry per row;
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
     is not a statistic.
     """
-    n_rows, n, p = ytil.shape
+    n_rows, n = lin.shape
+    # read before Newton drops rows from the stack
+    penalized = lin.penalized()
     pi, gpi, iters, ok, res = _newton(
-        np.full((n_rows, n), 1.0 / n), _step_kind(n, p)(ytil, lam),
-        cfg.newton_tol, cfg.max_newton_iters)
+        np.full((n_rows, n), 1.0 / n), lin, cfg.newton_tol,
+        cfg.max_newton_iters)
     stat = _criterion(pi, gpi)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
-    # no penalty at all (lambda = 0 or every delta = 0): the uniform start
-    # is optimal and K_n is exactly 0
-    stat[(lam == 0) | ~ytil.any(axis=(1, 2))] = 0.0
+    # a row whose G is zero (lambda = 0 or every delta = 0) has no penalty:
+    # the uniform start is optimal and K_n is exactly 0
+    stat[~penalized] = 0.0
     return pi, stat, iters, ok, res
 
 
@@ -472,7 +490,8 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     if not np.isfinite(mu).all():
         raise DomainError("mu must be finite")
     ytil = (data.values - mu) * np.sqrt(data.delta)
-    pi, stat, iters, ok, res = _solve_stack(ytil[None], cfg.penalty(n, p), cfg)
+    pi, stat, iters, ok, res = _solve_stack(
+        _make_step(ytil[None], cfg.penalty(n, p)), cfg)
     pi, res = pi[0], float(res[0])
     logger.debug("solve_pel: path=%s n=%d p=%d iterations=%d residual=%.3e",
                  _step_kind(n, p).name, n, p, iters[0], res)

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pelhd import experiments
+from pelhd import calibration, experiments
 
 from pelhd.calibration import (
     BLOCK_CHUNK_ELEMENTS,
@@ -141,6 +142,21 @@ class TestCurves:
         n, p = 4000, 100
         dm = compute_column_stats(
             gen_srd_arma(n, p, SPEC_SRD, rng_for("curve", "memory")))
+        m = subsample_size(n, p)
+        tracemalloc.start()
+        try:
+            build_curve_ergodic(dm, np.zeros(p), m, 0.5, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * BLOCK_CHUNK_ELEMENTS
+
+    def test_memory_does_not_grow_with_n_gram_path(self):
+        # p >> m = 93: the Gram path, whose Newton stacks hold Gram and KKT
+        # matrices but no m x p Ytil
+        n, p = 2000, 400
+        dm = compute_column_stats(
+            gen_srd_arma(n, p, SPEC_SRD, rng_for("curve", "memory", p)))
         m = subsample_size(n, p)
         tracemalloc.start()
         try:
@@ -477,6 +493,61 @@ class TestStackedBlockSolves:
         out = experiments._replicate(cfg, 0)
         assert out.shape == (2, 2)
         assert np.all(np.isnan(out))
+
+    @pytest.mark.parametrize("p,m", [(400, 86), (20, 32)])
+    def test_stack_size_never_changes_a_bit(self, monkeypatch, p, m):
+        """Block statistics do not depend on how the blocks are stacked.
+
+        (400, 86) takes the Gram path, whose stacks are filled from several
+        slices; (20, 32) the low-rank one.  With a budget of 1 every slice
+        and every Newton stack holds one block.
+        """
+        x = gen_srd_arma(200, p, SPEC_SRD, rng_for("stacks", p))
+        data, mu0 = compute_column_stats(x), np.zeros(p)
+        stacked = build_curve_ne(data, mu0, m, CFG).block_stats
+        monkeypatch.setattr(calibration, "BLOCK_CHUNK_ELEMENTS", 1)
+        alone = build_curve_ne(data, mu0, m, CFG).block_stats
+        assert np.array_equal(stacked, alone)
+
+    def test_one_failed_block_in_a_gram_stack(self, monkeypatch):
+        """The Gram-path twin of test_one_failed_block_among_many.
+
+        p >= m, and a budget of 9680 = 40 * 2 (m+1)^2 makes Newton stacks
+        of 40 blocks, each filled from slices of 17: the last stack holds
+        blocks 80-100, and the failing block 100 sits in its second slice.
+        """
+        n, m, p = 110, 10, 40
+        monkeypatch.setattr(calibration, "BLOCK_CHUNK_ELEMENTS", 9680)
+        base = rng_for("oneblock", "gram").normal(size=(m, p))
+        base -= base.mean(axis=0)
+        x = np.tile(base, (n // m + 1, 1))[:n]
+        x[-1] += 3.0
+        data = compute_column_stats(x)
+        mu0 = np.zeros(p)
+        curve = build_curve_ne(data, mu0, m, TIGHT)
+        n_blocks = n - m + 1
+        assert curve.n_failed == 1
+        assert np.isnan(curve.block_stats[-1])
+        assert not np.any(np.isnan(curve.block_stats[:-1]))
+        with pytest.raises(ConvergenceError):
+            solve_pel(compute_column_stats(x[-m:]), mu0, TIGHT)
+        for i in range(n_blocks - 1):
+            sol = solve_pel(compute_column_stats(x[i:i + m]), mu0, TIGHT)
+            assert sol.stat == pytest.approx(
+                curve.block_stats[i], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n,p,m,path,stacks", [
+        (200, 400, 86, "gram", 12), (200, 20, 32, "lowrank", 2)])
+    def test_debug_record_per_curve(self, caplog, n, p, m, path, stacks):
+        x = gen_srd_arma(n, p, SPEC_SRD, rng_for("curvelog", p))
+        caplog.set_level(logging.DEBUG, logger="pelhd.calibration")
+        curve = build_curve_ne(compute_column_stats(x), np.zeros(p), m, CFG)
+        iters = [solve_pel(compute_column_stats(x[i:i + m]), np.zeros(p),
+                           CFG).iterations for i in range(n - m + 1)]
+        assert caplog.messages[-1] == (
+            f"block curve: path={path} m={m} p={p} blocks={n - m + 1} "
+            f"stacks={stacks} iterations={sum(iters)} "
+            f"max_iterations={max(iters)} failed={curve.n_failed}")
 
     def test_one_failed_block_among_many(self):
         """A single unsolved block becomes NaN and is left out of the curve.

@@ -9,6 +9,7 @@ from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
     _kkt_solve,
+    _make_step,
     _solve_stack,
     compute_column_stats,
     neg_log_pel_ratio,
@@ -93,7 +94,8 @@ def stress_table(start, stop):
         cfg = PelConfig(c_star=c_star, lam=lam)
         lam = cfg.penalty(*x.shape)
         ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
-        pi, stat, iters, ok, res = _solve_stack(ytil[None], lam, cfg)
+        pi, stat, iters, ok, res = _solve_stack(
+            _make_step(ytil[None], lam), cfg)
         pi = pi[0]
         grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
         floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
@@ -297,9 +299,9 @@ class TestSolvePel:
         ytil[1, 0, 0] = np.inf
         cfg = PelConfig()
         with np.errstate(invalid="ignore"):
-            _, stat, _, ok, _ = _solve_stack(ytil, 2.0, cfg)
+            _, stat, _, ok, _ = _solve_stack(_make_step(ytil, 2.0), cfg)
         assert ok.tolist() == [True, False, True]
-        alone = _solve_stack(ytil[[0, 2]], 2.0, cfg)[1]
+        alone = _solve_stack(_make_step(ytil[[0, 2]], 2.0), cfg)[1]
         np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
 
     def test_stress_corpus_keeps_reference_solutions(self):
