@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
-    DataMatrix,
-    PelConfig,
-    _GramStep,
-    _LowRankStep,
-    _moments,
-    _solve_stack,
-    _step_kind,
-)
+from .core import DataMatrix, PelConfig, _moments, _solve_blocks
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -54,14 +46,6 @@ logger = logging.getLogger(__name__)
 
 # Fraction of failed block solves at which the whole curve is rejected.
 MAX_BLOCK_FAILURE_RATE = 0.01
-# Element budget of the subsample blocks held together, bounding two
-# counts: a Newton stack of the Gram path, 2 (m+1)^2 a block (its Gram and
-# KKT matrices), and a slice of blocks whose m x p Ytil is formed at once,
-# (m+1)(m+1+p) a block (the low-rank path's stack is one slice).  It is the
-# (n+1)^2 scale of one full-sample KKT matrix at n = 200, times 4, and does
-# not grow with n, so a curve's working memory stays a few MB at any
-# sample size.
-BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 
 @dataclass(frozen=True)
@@ -135,15 +119,11 @@ def _block_ytil(windows, mu0):
 def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     """-log R*_m(mu0; I) on every overlapping block, lambda re-set to c* m/p.
 
-    All blocks are solved by the stacked Newton kernel, one stack at a
-    time, each sized by what it holds to about ``BLOCK_CHUNK_ELEMENTS``
-    elements.  On the Gram path a block costs Newton its m x m Gram and
-    (m+1)^2 KKT matrices, 2 (m+1)^2 elements; the Gram stack is filled a
-    slice at a time, and a slice's m x p Ytil, counted with its Gram
-    matrices as (m+1)(m+1+p) elements a block, is dropped once they are
-    written.  On the low-rank path Newton holds the m x p factors
-    themselves, so a stack is one slice.  Failed block solves are
-    recorded as NaN; NumericError above the 1% tolerance (isolated
+    The blocks are solved by ``core._solve_blocks``, the builder that also
+    serves ``solve_pel``; it cuts them into Newton stacks under the element
+    budget ``core.BLOCK_CHUNK_ELEMENTS`` and asks ``_block_ytil`` for the
+    standardized data of a slice of blocks at a time.  Failed block solves
+    are recorded as NaN; NumericError above the 1% tolerance (isolated
     failures must not silently bias the quantiles).  Each curve logs its
     shape, path, stack count, iterations and failures at DEBUG level.
 
@@ -158,42 +138,24 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
         raise DimensionError(f"mu0 must have shape ({p},), got {mu0.shape}")
     if not np.isfinite(mu0).all():
         raise DomainError("mu0 must be finite")
-    lam = replace(cfg, lam=None).penalty(m, p)
     windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
     n_blocks = len(windows)
-    kind = _step_kind(m, p)
-    per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((m + 1) * (m + 1 + p)))
-    per_stack = (max(1, BLOCK_CHUNK_ELEMENTS // (2 * (m + 1) ** 2))
-                 if kind is _GramStep else per_slice)
-    stats = np.empty(n_blocks)
-    iters = np.empty(n_blocks, dtype=int)
-    failed = 0
-    for lo in range(0, n_blocks, per_stack):
-        hi = min(lo + per_stack, n_blocks)
-        if kind is _GramStep:
-            gram = np.empty((hi - lo, m, m))
-            for s in range(lo, hi, per_slice):
-                ytil = _block_ytil(windows[s:min(s + per_slice, hi)], mu0)
-                np.matmul(ytil, ytil.transpose(0, 2, 1),
-                          out=gram[s - lo:s - lo + len(ytil)])
-            lin = _GramStep(gram, lam)
-        else:
-            lin = _LowRankStep(_block_ytil(windows[lo:hi], mu0), lam)
-        _, stats[lo:hi], iters[lo:hi], ok, res = _solve_stack(lin, cfg)
-        for b in np.flatnonzero(~ok):
-            logger.warning(
-                "block %d/%d failed: residual %.3e after %d iterations",
-                lo + b, n_blocks, res[b], iters[lo + b])
-            stats[lo + b] = np.nan
-            failed += 1
+    stats, iters, ok, res, _, stacks, path = _solve_blocks(
+        lambda lo, hi: _block_ytil(windows[lo:hi], mu0), n_blocks, m, p,
+        cfg.c_star * m / p, cfg)
+    failed = np.flatnonzero(~ok)
+    for b in failed:
+        logger.warning("block %d/%d failed: residual %.3e after %d iterations",
+                       b, n_blocks, res[b], iters[b])
+    stats[failed] = np.nan
     logger.debug(
         "block curve: path=%s m=%d p=%d blocks=%d stacks=%d iterations=%d "
-        "max_iterations=%d failed=%d", kind.name, m, p, n_blocks,
-        math.ceil(n_blocks / per_stack), iters.sum(), iters.max(), failed)
-    if failed > MAX_BLOCK_FAILURE_RATE * n_blocks:
+        "max_iterations=%d failed=%d", path, m, p, n_blocks, stacks,
+        iters.sum(), iters.max(), failed.size)
+    if failed.size > MAX_BLOCK_FAILURE_RATE * n_blocks:
         raise NumericError(
-            f"{failed}/{n_blocks} subsample blocks failed to converge")
-    return stats, failed
+            f"{failed.size}/{n_blocks} subsample blocks failed to converge")
+    return stats, failed.size
 
 
 def build_curve_ne(data: DataMatrix, mu0, m: int,

@@ -11,33 +11,33 @@ with ``M_j(pi) = sum_i pi_i (X_ij - mu_j)`` and per-column weights
 to ``lambda = c_star * n / p``.  The objective is strictly convex with a
 built-in log barrier, so the minimizer is unique and interior.
 
-One Newton kernel finds it for a stack of B same-shape problems at once:
-``solve_pel`` passes B = 1, the subsampling calibration passes the
-overlapping blocks of a curve, a stack at a time.  A fixed element budget
-(``calibration.BLOCK_CHUNK_ELEMENTS``) bounds both what a stack holds
-(the Gram and KKT matrices of a block on the Gram path, its n x p factor
-on the low-rank path) and the blocks whose n x p data are standardized
-at once, so that a curve's linear systems and data take a few MB at any
-n.  With G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the
-Hessian is diag(1/pi^2) + G.  The shape picks how a Newton step is
-computed, and nothing else: for n <= LOWRANK_RATIO p each iteration solves
-the bordered (n+1)-dimensional KKT systems built from the n x n Gram
-matrices; above that G, of rank at most p, is never formed, and a step
-goes through a p x p capacitance matrix of the n x p factor
-sqrt(2 lambda) Ytil in O(n p^2) time.  Memory therefore grows with
-n min(n, p).  Once the squared Newton decrement -g'd is below 1/16 the step
-is in the pure-Newton phase of this self-concordant objective and is taken
-in full, so convergence does not hinge on comparing objective values that
-differ by less than their rounding; larger steps backtrack to an Armijo
-decrease.  A problem leaves the stack once its KKT residual is below
-``newton_tol``; one that Newton leaves unconverged is reported as such.
-``solve_pel`` logs the path, shape, iterations and residual of each solve
-at DEBUG level.
+One Newton kernel finds it for a stack of B same-shape problems at once,
+and one builder, ``_solve_blocks``, cuts a run of problems into stacks:
+``solve_pel`` passes the full sample as a run of one, the subsampling
+calibration the overlapping blocks of a curve.  The builder's element
+budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and how many
+problems' n x p data are standardized at once, so that a curve's linear
+systems and data take a few MB at any n.  With G = 2 lambda Ytil Ytil'
+the penalty equals pi'G pi / 2 and the Hessian is diag(1/pi^2) + G.  The
+shape picks how a Newton step is computed, and nothing else: for
+n <= LOWRANK_RATIO p each iteration solves the bordered (n+1)-dimensional
+KKT systems built from the n x n Gram matrices; above that G, of rank at
+most p, is never formed, and a step goes through a p x p capacitance
+matrix of the n x p factor sqrt(2 lambda) Ytil in O(n p^2) time.  Memory
+therefore grows with n min(n, p).  Once the squared Newton decrement -g'd
+is below 1/16 the step is in the pure-Newton phase of this self-concordant
+objective and is taken in full, so convergence does not hinge on comparing
+objective values that differ by less than their rounding; larger steps
+backtrack to an Armijo decrease.  A problem leaves the stack once its KKT
+residual is below ``newton_tol``; one that Newton leaves unconverged is
+reported as such.  ``solve_pel`` logs the path, shape, iterations and
+residual of each solve at DEBUG level.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +58,14 @@ ARMIJO = 1e-4
 # near m = 1.3 p at p = 20 and p = 100; at m = 1.6 p the factors are 15%
 # faster, at m = 1.2 p 10% slower.
 LOWRANK_RATIO = 1.35
+# Element budget of the problems ``_solve_blocks`` holds together, bounding
+# two counts: a Newton stack of the Gram path, 2 (n+1)^2 a problem (its Gram
+# and KKT matrices), and a slice of problems whose n x p Ytil is formed at
+# once, (n+1)(n+1+p) a problem (the low-rank path's stack is one slice).  It
+# is the (n+1)^2 scale of one full-sample KKT matrix at n = 200, times 4,
+# and does not grow with the sample size, so a calibration curve's working
+# memory stays a few MB however many blocks it has.
+BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 __all__ = [
     "DataMatrix",
@@ -326,11 +334,6 @@ class _LowRankStep:
         return -x * off_pi(w)
 
 
-def _step_kind(n, p):
-    """The Newton-step linear algebra for problems of n weights, p columns."""
-    return _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
-
-
 def _step_lengths(pi, d, gpi, quad, dec):
     """Step length of each row of the stack along its Newton direction ``d``.
 
@@ -431,14 +434,6 @@ def _newton(pi, lin, tol, max_iters):
     return pi, gpi_out, iterations, converged, residual
 
 
-def _make_step(ytil, lam):
-    """The Newton-step object ``_step_kind`` picks for a (B, n, p) stack of
-    Ytil_b = (X_b - mu) sqrt(delta_b) at penalty ``lam``."""
-    if _step_kind(*ytil.shape[1:]) is _LowRankStep:
-        return _LowRankStep(ytil, lam)
-    return _GramStep(np.matmul(ytil, ytil.transpose(0, 2, 1)), lam)
-
-
 def _solve_stack(lin, cfg: PelConfig):
     """Minimize the PEL criterion of B same-shape problems at once.
 
@@ -462,6 +457,47 @@ def _solve_stack(lin, cfg: PelConfig):
     # the uniform start is optimal and K_n is exactly 0
     stat[~penalized] = 0.0
     return pi, stat, iters, ok, res
+
+
+def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
+    """Minimize the PEL criterion of ``n_blocks`` same-shape problems, a
+    Newton stack at a time; the one place Newton stacks are built.
+
+    ``ytil_of(lo, hi)`` returns the (hi - lo, n, p) stack of
+    Ytil_b = (X_b - mu) sqrt(delta_b) of problems lo..hi-1, and ``lam`` is
+    their penalty factor.  BLOCK_CHUNK_ELEMENTS sizes the stacks and the
+    ``ytil_of`` slices.  On the low-rank path Newton holds the factors
+    themselves, so a stack is one slice; on the Gram path a stack's Gram
+    matrices are filled slice by slice, and each slice's Ytil is dropped
+    once they are written.
+
+    Returns (stat, iterations, converged, residual), one entry per problem
+    as from ``_solve_stack``, then the weights of the last problem, the
+    number of stacks and the path name.  Only the last weights are kept:
+    ``solve_pel`` has one problem, and a curve that kept the weights of
+    all its n - m + 1 blocks would hold memory that grows with n m.
+    """
+    kind = _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
+    per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((n + 1) * (n + 1 + p)))
+    per_stack = (per_slice if kind is _LowRankStep
+                 else max(1, BLOCK_CHUNK_ELEMENTS // (2 * (n + 1) ** 2)))
+    out = (np.empty(n_blocks), np.empty(n_blocks, dtype=int),
+           np.empty(n_blocks, dtype=bool), np.empty(n_blocks))
+    for lo in range(0, n_blocks, per_stack):
+        hi = min(lo + per_stack, n_blocks)
+        if kind is _LowRankStep:
+            lin = _LowRankStep(ytil_of(lo, hi), lam)
+        else:
+            gram = np.empty((hi - lo, n, n))
+            for s in range(lo, hi, per_slice):
+                ytil = ytil_of(s, min(s + per_slice, hi))
+                np.matmul(ytil, ytil.transpose(0, 2, 1),
+                          out=gram[s - lo:s - lo + len(ytil)])
+            lin = _GramStep(gram, lam)
+        pi, *parts = _solve_stack(lin, cfg)
+        for whole, part in zip(out, parts):
+            whole[lo:hi] = part
+    return (*out, pi[-1], math.ceil(n_blocks / per_stack), kind.name)
 
 
 def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
@@ -490,11 +526,11 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     if not np.isfinite(mu).all():
         raise DomainError("mu must be finite")
     ytil = (data.values - mu) * np.sqrt(data.delta)
-    pi, stat, iters, ok, res = _solve_stack(
-        _make_step(ytil[None], cfg.penalty(n, p)), cfg)
-    pi, res = pi[0], float(res[0])
+    stat, iters, ok, res, pi, _, path = _solve_blocks(
+        lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
+    res = float(res[0])
     logger.debug("solve_pel: path=%s n=%d p=%d iterations=%d residual=%.3e",
-                 _step_kind(n, p).name, n, p, iters[0], res)
+                 path, n, p, iters[0], res)
     if not ok[0]:
         raise ConvergenceError(
             f"PEL solver did not reach tol={cfg.newton_tol:g} "

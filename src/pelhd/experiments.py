@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -202,6 +199,8 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
         except PelhdError:
             continue
     if cfg.mode == "calibration-compare":
+        import statistics
+
         try:
             kappa_hat = math.sqrt(estimate_kappa_sq_plugin(data, cfg.c_star))
             z = math.sqrt(cfg.p) * (kn - cfg.c_star)
@@ -231,8 +230,12 @@ def _worker_pool(workers: int):
     cores.  The workers are spawned, not forked (a forked child keeps the
     parent's BLAS thread pool), with OPENBLAS_NUM_THREADS and
     OMP_NUM_THREADS set to 1 while the pool lives; the caller's values
-    are restored afterwards.
+    are restored afterwards.  The pool modules are imported here, so
+    ``import pelhd`` does not load them.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

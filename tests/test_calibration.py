@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pelhd import calibration, experiments
+from pelhd import calibration, core, experiments
 
 from pelhd.calibration import (
-    BLOCK_CHUNK_ELEMENTS,
     CalibrationCurve,
     build_curve_ergodic,
     build_curve_ne,
@@ -24,6 +23,7 @@ from pelhd.calibration import (
     subsample_size,
 )
 from pelhd.core import (
+    BLOCK_CHUNK_ELEMENTS,
     PelConfig,
     compute_column_stats,
     neg_log_pel_ratio,
@@ -505,9 +505,33 @@ class TestStackedBlockSolves:
         x = gen_srd_arma(200, p, SPEC_SRD, rng_for("stacks", p))
         data, mu0 = compute_column_stats(x), np.zeros(p)
         stacked = build_curve_ne(data, mu0, m, CFG).block_stats
-        monkeypatch.setattr(calibration, "BLOCK_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(core, "BLOCK_CHUNK_ELEMENTS", 1)
         alone = build_curve_ne(data, mu0, m, CFG).block_stats
         assert np.array_equal(stacked, alone)
+
+    @pytest.mark.parametrize("p,m", [(400, 86), (20, 32)])
+    def test_blocks_equal_stand_alone_solves(self, monkeypatch, p, m):
+        """A curve's block solves are solve_pel's, bit for bit.
+
+        The curve and solve_pel share one stack builder, so each block's
+        statistic and iteration count equal those of solve_pel on the
+        block alone, on the Gram path (400, 86) and the low-rank one
+        (20, 32).
+        """
+        x = gen_srd_arma(200, p, SPEC_SRD, rng_for("alone", p))
+        mu0 = np.zeros(p)
+        runs = []
+
+        def recorded(*args):
+            runs.append(core._solve_blocks(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(calibration, "_solve_blocks", recorded)
+        curve = build_curve_ne(compute_column_stats(x), mu0, m, CFG)
+        (_, iters, *_), = runs
+        for i, value in enumerate(curve.block_stats):
+            sol = solve_pel(compute_column_stats(x[i:i + m]), mu0, CFG)
+            assert (sol.stat, sol.iterations) == (value, iters[i]), i
 
     def test_one_failed_block_in_a_gram_stack(self, monkeypatch):
         """The Gram-path twin of test_one_failed_block_among_many.
@@ -517,7 +541,7 @@ class TestStackedBlockSolves:
         blocks 80-100, and the failing block 100 sits in its second slice.
         """
         n, m, p = 110, 10, 40
-        monkeypatch.setattr(calibration, "BLOCK_CHUNK_ELEMENTS", 9680)
+        monkeypatch.setattr(core, "BLOCK_CHUNK_ELEMENTS", 9680)
         base = rng_for("oneblock", "gram").normal(size=(m, p))
         base -= base.mean(axis=0)
         x = np.tile(base, (n // m + 1, 1))[:n]

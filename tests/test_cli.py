@@ -305,11 +305,23 @@ def test_every_public_name_resolves(module):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; the package and its CLI load without it
-    code = ("import sys, pelhd, pelhd.cli; print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy'))")
+def _loaded_by_import(condition):
+    """Sorted names m in sys.modules meeting ``condition`` (an expression in
+    m) after a fresh interpreter imports pelhd and its CLI."""
+    code = ("import sys, pelhd, pelhd.cli; "
+            f"print(sorted(m for m in sys.modules if {condition}))")
     src = str(Path(pelhd.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI load without it
+    assert _loaded_by_import("m.split('.')[0] == 'scipy'") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # the pool modules load with the first --threads > 1 run, not at import
+    assert _loaded_by_import(
+        "m in ('multiprocessing', 'concurrent.futures.process')") == "[]"

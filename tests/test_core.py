@@ -8,8 +8,9 @@ import pytest
 from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
+    _LowRankStep,
     _kkt_solve,
-    _make_step,
+    _solve_blocks,
     _solve_stack,
     compute_column_stats,
     neg_log_pel_ratio,
@@ -94,9 +95,8 @@ def stress_table(start, stop):
         cfg = PelConfig(c_star=c_star, lam=lam)
         lam = cfg.penalty(*x.shape)
         ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
-        pi, stat, iters, ok, res = _solve_stack(
-            _make_step(ytil[None], lam), cfg)
-        pi = pi[0]
+        stat, iters, ok, res, pi, _, _ = _solve_blocks(
+            lambda lo, hi: ytil[None], 1, *x.shape, lam, cfg)
         grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
         floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
         print(f"{k} {STRESS_KINDS[k % 5]} {x.shape[0]} {x.shape[1]} "
@@ -299,9 +299,9 @@ class TestSolvePel:
         ytil[1, 0, 0] = np.inf
         cfg = PelConfig()
         with np.errstate(invalid="ignore"):
-            _, stat, _, ok, _ = _solve_stack(_make_step(ytil, 2.0), cfg)
+            _, stat, _, ok, _ = _solve_stack(_LowRankStep(ytil, 2.0), cfg)
         assert ok.tolist() == [True, False, True]
-        alone = _solve_stack(_make_step(ytil[[0, 2]], 2.0), cfg)[1]
+        alone = _solve_stack(_LowRankStep(ytil[[0, 2]], 2.0), cfg)[1]
         np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
 
     def test_stress_corpus_keeps_reference_solutions(self):

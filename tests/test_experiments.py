@@ -327,3 +327,30 @@ class TestRunExperimentDispatch:
         assert rows[0]["mode"] == "level"
         rows = run_experiment(small_cfg(mode="power", n_replicates=2))
         assert rows[0]["mode"] == "power"
+
+
+class TestAggregate:
+    """Result cells with failed (NaN) replicates, from synthetic stacks of
+    100 replicates: one row, one level, rejections at every 4th replicate."""
+
+    CFG = small_cfg(n_replicates=100)
+
+    def aggregate(self, failed):
+        stacked = (np.arange(100) % 4 == 0).astype(float).reshape(100, 1, 1)
+        stacked[failed] = np.nan
+        (row,) = experiments._aggregate(self.CFG, stacked)
+        return row
+
+    def test_one_failed_replicate_leaves_the_others(self):
+        # replicate 0 rejected, so the other 99 hold 24 rejections
+        row = self.aggregate([0])
+        assert row["n_reps"] == 99
+        assert row["a_hat"] == pytest.approx(24 / 99, rel=1e-15)
+        assert row["abs_err"] == pytest.approx(abs(0.1 - 24 / 99), rel=1e-15)
+
+    def test_failures_above_the_cell_rate_invalidate_it(self):
+        assert experiments.MAX_CELL_FAILURE_RATE == 0.02
+        row = self.aggregate([1, 2, 3])
+        assert row["n_reps"] == 97
+        assert math.isnan(row["a_hat"])
+        assert math.isnan(row["abs_err"])
