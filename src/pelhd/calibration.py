@@ -18,13 +18,14 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DataMatrix, PelConfig, _moments, _solve_blocks
+from .core import DataMatrix, PelConfig, _checked_mu, _moments, _solve_blocks
 from .errors import (
     DegenerateDataError,
     DimensionError,
     DomainError,
     NumericError,
 )
+from .limits import kappa_squared
 
 __all__ = [
     "CalibrationCurve",
@@ -133,11 +134,7 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     n, p = data.n, data.p
     if not 1 < m < n:
         raise DomainError(f"need 1 < m < n, got m={m}, n={n}")
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (p,):
-        raise DimensionError(f"mu0 must have shape ({p},), got {mu0.shape}")
-    if not np.isfinite(mu0).all():
-        raise DomainError("mu0 must be finite")
+    mu0 = _checked_mu(mu0, p)
     windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
     n_blocks = len(windows)
     stats, iters, ok, res, _, stacks, path = _solve_blocks(
@@ -300,12 +297,12 @@ def estimate_kappa_sq_invariant(data: DataMatrix, c_star: float) -> float:
 
 
 def estimate_kappa_sq_plugin(data: DataMatrix, c_star: float) -> float:
-    """Plug-in estimate 2 c*^2 (1 + sum_{k=1}^K rho_hat(k)^2), K = min(p/2, sqrt(p)).
+    """Plug-in estimate ``kappa_squared(rho_hat, c_star)``, K = min(p/2, sqrt(p)).
 
-    rho_hat(k) averages, over rows, the lag-k autocorrelation of the row
-    series centered at the column means (lag-k products normalized by p-k).
-    The leading 1 is the exact k = 0 term of the target series.  Rows with
-    no variation around the column means are skipped.
+    rho_hat(k), k = 1..K, averages over rows the lag-k autocorrelation of
+    the row series centered at the column means (lag-k products normalized
+    by p-k); rho_hat(0) = 1 is the exact k = 0 term of the target series.
+    Rows with no variation around the column means are skipped.
     """
     n, p = data.n, data.p
     if p < 4:
@@ -318,11 +315,11 @@ def estimate_kappa_sq_plugin(data: DataMatrix, c_star: float) -> float:
         raise DegenerateDataError("every row equals the column means")
     y = y[valid]
     denom = denom[valid]
-    acc = 0.0
+    rho_hat = np.ones(k_max + 1)
     for k in range(1, k_max + 1):
         num = np.sum(y[:, :-k] * y[:, k:], axis=1) / (p - k)
-        acc += float(np.mean(num / denom)) ** 2
-    return 2.0 * c_star**2 * (1.0 + acc)
+        rho_hat[k] = np.mean(num / denom)
+    return kappa_squared(rho_hat, c_star)
 
 
 def decide(statistic: float, curve: CalibrationCurve, level: float) -> TestReport:

@@ -3,8 +3,9 @@
 Subcommands: ``stat`` (statistic for a CSV data set), ``calibrate``
 (subsampling curve as CSV), ``simulate`` (generate data CSV),
 ``experiment`` (run a flat config file, emit results CSV) and ``limits``
-(sample a reference limit law).  Exit codes: 0 success, 2 configuration or
-usage error, 3 numeric failure.
+(sample a reference limit law).  Exit codes follow the class of the error:
+0 success; 2 configuration or usage error (argparse, a missing file, or a
+PelhdError that is a ValueError); 3 numeric failure (any other PelhdError).
 """
 
 from __future__ import annotations
@@ -17,18 +18,20 @@ import numpy as np
 
 from . import calibration, experiments, limits, simulate
 from .core import PelConfig, compute_column_stats, neg_log_pel_ratio
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    PelhdError,
-)
+from .errors import ConfigError, PelhdError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+
+def _number_or_auto(value: str):
+    """An ``--alpha-hat`` value: the word 'auto' or a float."""
+    try:
+        return value if value == "auto" else float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number or 'auto', got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--mu", default="zeros")
     p_cal.add_argument("--m", type=int, required=True, help="subsample size")
     p_cal.add_argument("--regime", choices=["ne", "ergodic"], default="ne")
-    p_cal.add_argument("--alpha-hat", default="auto",
+    p_cal.add_argument("--alpha-hat", type=_number_or_auto, default="auto",
                        help="ergodic scaling exponent, or 'auto' to estimate")
     p_cal.add_argument("--c-star", type=float, default=1.0)
     p_cal.add_argument("--out", default=None)
@@ -129,15 +132,9 @@ def _cmd_calibrate(args) -> int:
     if args.regime == "ne":
         curve = calibration.build_curve_ne(data, mu, args.m, cfg)
     else:
-        if args.alpha_hat == "auto":
+        alpha_hat = args.alpha_hat
+        if alpha_hat == "auto":
             alpha_hat = calibration.estimate_alpha_hurst(data)
-        else:
-            try:
-                alpha_hat = float(args.alpha_hat)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"--alpha-hat must be a number or 'auto', "
-                    f"got {args.alpha_hat!r}") from exc
         curve = calibration.build_curve_ergodic(data, mu, args.m, alpha_hat, cfg)
     lines = ["block_start_index,statistic"]
     lines += [f"{start},{float(stat)!r}"
@@ -193,12 +190,11 @@ def cli_main(argv) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, DomainError, DimensionError,
-            DegenerateDataError, FileNotFoundError) as exc:
-        # bad inputs or inconsistent options
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PelhdError as exc:
+    except (PelhdError, FileNotFoundError) as exc:
+        if isinstance(exc, (ValueError, FileNotFoundError)):
+            # bad inputs or inconsistent options
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         # numerical failure inside an otherwise valid run
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

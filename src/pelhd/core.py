@@ -11,8 +11,9 @@ with ``M_j(pi) = sum_i pi_i (X_ij - mu_j)`` and per-column weights
 to ``lambda = c_star * n / p``.  The objective is strictly convex with a
 built-in log barrier, so the minimizer is unique and interior.
 
-One Newton kernel finds it for a stack of B same-shape problems at once,
-and one builder, ``_solve_blocks``, cuts a run of problems into stacks:
+One Newton kernel, ``_newton``, finds it for a stack of B same-shape
+problems at once and is the one function from a stack to its statistics;
+one builder, ``_solve_blocks``, cuts a run of problems into stacks:
 ``solve_pel`` passes the full sample as a run of one, the subsampling
 calibration the overlapping blocks of a curve.  The builder's element
 budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and how many
@@ -190,6 +191,17 @@ def compute_column_stats(values) -> DataMatrix:
     return DataMatrix(values=x, col_mean=mean, col_var=var, delta=delta)
 
 
+def _checked_mu(mu, p: int) -> np.ndarray:
+    """``mu`` as a float array: DimensionError unless its shape is (p,),
+    DomainError unless it is finite."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (p,):
+        raise DimensionError(f"mu must have shape ({p},), got {mu.shape}")
+    if not np.isfinite(mu).all():
+        raise DomainError("mu must be finite")
+    return mu
+
+
 def _criterion(pi, gpi):
     """-sum log(n pi) + pi'G pi / 2 for each row of a (B, n) stack.
 
@@ -204,12 +216,12 @@ def objective(pi, data: DataMatrix, mu, cfg: PelConfig) -> float:
     """Evaluate -sum log(n pi_i) + lambda sum_j delta_j M_j^2 at ``pi``.
 
     ``pi`` must be strictly positive (DomainError otherwise); the caller
-    is responsible for sum(pi) == 1.
+    is responsible for sum(pi) == 1.  ``mu`` is checked as in ``solve_pel``.
     """
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0):
         raise DomainError("all simplex weights must be strictly positive")
-    ytil = (data.values - np.asarray(mu, dtype=float)) * np.sqrt(data.delta)
+    ytil = (data.values - _checked_mu(mu, data.p)) * np.sqrt(data.delta)
     gpi = 2.0 * cfg.penalty(data.n, data.p) * (ytil @ (ytil.T @ pi))
     return float(_criterion(pi[None], gpi[None])[0])
 
@@ -377,34 +389,45 @@ def _step_lengths(pi, d, gpi, quad, dec):
     return t
 
 
-def _newton(pi, lin, tol, max_iters):
-    """Feasible-start Newton on a stack of B same-shape problems.
+def _newton(lin, cfg: PelConfig):
+    """Feasible-start Newton on a stack of B same-shape problems: the one
+    function from a stack to its statistics.
 
-    ``pi`` (B, n) holds the starting weights and ``lin`` (a _GramStep or
-    a _LowRankStep) the linear algebra of the matrices
-    G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
+    ``lin`` (a _GramStep or a _LowRankStep) holds the linear algebra of the
+    matrices G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
     -sum log(n pi) + pi'G_b pi / 2, whose Hessian is diag(1/pi^2) + G_b.
-    Both kinds share this loop, its step rule and its stopping rule; each
-    iteration takes the Newton steps of the rows still active in one
-    batched call.  A row leaves the stack once its KKT residual is below
-    ``tol`` (converged) or its step fails: a singular system, a non-finite
-    decrement or a line search that gave out.
+    Every row starts at the uniform weights 1/n.  Both kinds share this
+    loop, its step rule and its stopping rule; each iteration takes the
+    Newton steps of the rows still active in one batched call.  A row
+    leaves the stack once its KKT residual is below ``newton_tol``
+    (converged) or its step fails: a singular system, a non-finite
+    decrement or a line search that gave out.  Its criterion is evaluated
+    as it leaves, from the x and G x in hand.  A tiny negative is snapped
+    to 0, and a row whose G is zero (lambda = 0 or every delta = 0) has no
+    penalty: the uniform start is optimal and K_n is exactly 0.
 
-    Returns (pi, G pi, iterations, converged, residual), one entry per row.
+    Returns (pi, stat, iterations, converged, residual), one entry per row;
+    where ``converged`` is False, ``pi`` is the best iterate and ``stat``
+    is not a statistic.
     """
-    n_rows, n = pi.shape
+    n_rows, n = lin.shape
+    max_iters = cfg.max_newton_iters
+    # read before rows leave the stack
+    penalized = lin.penalized()
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
     residual = np.full(n_rows, np.inf)
-    pi, gpi_out = pi.copy(), np.empty_like(pi)
-    rows, x = np.arange(n_rows), pi
+    pi, stat = np.empty((n_rows, n)), np.empty(n_rows)
+    rows, x = np.arange(n_rows), np.full((n_rows, n), 1.0 / n)
 
     def retire(mask, it, *arrays):
         """Record the rows in ``mask`` as finished at iteration ``it`` with
-        the current x and G x, drop them from the stack, and return the
-        kept rows of ``rows``, ``x`` and each of ``arrays``."""
-        pi[rows[mask]], gpi_out[rows[mask]] = x[mask], gpi[mask]
-        iterations[rows[mask]] = it
+        the current x and its criterion, drop them from the stack, and
+        return the kept rows of ``rows``, ``x`` and each of ``arrays``."""
+        finished = rows[mask]
+        pi[finished] = x[mask]
+        stat[finished] = _criterion(x[mask], gpi[mask])
+        iterations[finished] = it
         keep = ~mask
         lin.keep(keep)
         return [a[keep] for a in (rows, x, *arrays)]
@@ -414,7 +437,7 @@ def _newton(pi, lin, tol, max_iters):
         grad = -1.0 / x + gpi
         res = np.max(np.abs(grad - grad.mean(axis=1, keepdims=True)), axis=1)
         residual[rows] = res
-        converged[rows] = res < tol
+        converged[rows] = res < cfg.newton_tol
         done = converged[rows] | (it == max_iters)
         if done.any():
             rows, x, grad, gpi = retire(done, it, grad, gpi)
@@ -431,32 +454,9 @@ def _newton(pi, lin, tol, max_iters):
                 break
         x = x + t[:, None] * d
         x /= x.sum(axis=1, keepdims=True)
-    return pi, gpi_out, iterations, converged, residual
-
-
-def _solve_stack(lin, cfg: PelConfig):
-    """Minimize the PEL criterion of B same-shape problems at once.
-
-    ``lin`` (a _GramStep or a _LowRankStep) holds the matrices of the
-    stack.  Every row starts at the uniform weights and runs the stacked
-    Newton.
-
-    Returns (pi, stat, iterations, converged, residual), one entry per row;
-    where ``converged`` is False, ``pi`` is the best iterate and ``stat``
-    is not a statistic.
-    """
-    n_rows, n = lin.shape
-    # read before Newton drops rows from the stack
-    penalized = lin.penalized()
-    pi, gpi, iters, ok, res = _newton(
-        np.full((n_rows, n), 1.0 / n), lin, cfg.newton_tol,
-        cfg.max_newton_iters)
-    stat = _criterion(pi, gpi)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
-    # a row whose G is zero (lambda = 0 or every delta = 0) has no penalty:
-    # the uniform start is optimal and K_n is exactly 0
     stat[~penalized] = 0.0
-    return pi, stat, iters, ok, res
+    return pi, stat, iterations, converged, residual
 
 
 def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
@@ -472,7 +472,7 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     once they are written.
 
     Returns (stat, iterations, converged, residual), one entry per problem
-    as from ``_solve_stack``, then the weights of the last problem, the
+    as from ``_newton``, then the weights of the last problem, the
     number of stacks and the path name.  Only the last weights are kept:
     ``solve_pel`` has one problem, and a curve that kept the weights of
     all its n - m + 1 blocks would hold memory that grows with n m.
@@ -494,7 +494,7 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
                 np.matmul(ytil, ytil.transpose(0, 2, 1),
                           out=gram[s - lo:s - lo + len(ytil)])
             lin = _GramStep(gram, lam)
-        pi, *parts = _solve_stack(lin, cfg)
+        pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part
     return (*out, pi[-1], math.ceil(n_blocks / per_stack), kind.name)
@@ -519,12 +519,8 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
         diagnostics.  Raises ConvergenceError, carrying Newton's best
         weights and residual, if Newton does not reach ``newton_tol``.
     """
-    mu = np.asarray(mu, dtype=float)
     n, p = data.n, data.p
-    if mu.shape != (p,):
-        raise DimensionError(f"mu must have shape ({p},), got {mu.shape}")
-    if not np.isfinite(mu).all():
-        raise DomainError("mu must be finite")
+    mu = _checked_mu(mu, p)
     ytil = (data.values - mu) * np.sqrt(data.delta)
     stat, iters, ok, res, pi, _, path = _solve_blocks(
         lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)

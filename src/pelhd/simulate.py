@@ -48,9 +48,6 @@ __all__ = [
     "read_matrix_csv",
 ]
 
-DEFAULT_AR = (-0.4, 0.1)
-DEFAULT_MA = (0.3, 0.5, 0.1)
-
 # Basis weight exp(1)+1, identical for every term of the expansion.
 _NE_WEIGHT = math.e + 1.0
 _NE_TERMS = 31
@@ -68,8 +65,8 @@ class DependenceSpec:
 
     kind: str
     alpha: float | None = None
-    ar: tuple[float, float] = DEFAULT_AR
-    ma: tuple[float, float, float] = DEFAULT_MA
+    ar: tuple[float, float] = (-0.4, 0.1)
+    ma: tuple[float, float, float] = (0.3, 0.5, 0.1)
     burn_in: int = 500
 
     def __post_init__(self):
@@ -93,9 +90,13 @@ class DependenceSpec:
         return cls(kind="lrd", alpha=alpha)
 
     @classmethod
-    def short_range_arma(cls, ar=DEFAULT_AR, ma=DEFAULT_MA,
-                         burn_in=500) -> "DependenceSpec":
-        return cls(kind="srd", ar=tuple(ar), ma=tuple(ma), burn_in=burn_in)
+    def short_range_arma(cls, ar=None, ma=None,
+                         burn_in=None) -> "DependenceSpec":
+        """SRD with the ``ar``, ``ma`` and ``burn_in`` given; one left None
+        keeps its field default.  ``ar`` and ``ma`` are stored as tuples."""
+        given = {"ar": ar, "ma": ma, "burn_in": burn_in}
+        return cls(kind="srd", **{k: v if k == "burn_in" else tuple(v)
+                                  for k, v in given.items() if v is not None})
 
     @property
     def decay_exponent(self) -> float:
@@ -300,7 +301,6 @@ def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
     """
     if n < 1 or p < 1:
         raise DimensionError("n and p must be >= 1")
-    _check_causal(spec.ar)
     eps = np.random.default_rng(seed).standard_normal((n, spec.burn_in + p))
     return _arma_filter(eps, spec.ar, spec.ma, p)
 

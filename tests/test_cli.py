@@ -8,7 +8,9 @@ import pytest
 
 import pelhd
 
+from pelhd.calibration import estimate_alpha_hurst
 from pelhd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, cli_main
+from pelhd.core import compute_column_stats
 from pelhd.errors import NumericError
 from pelhd.simulate import DependenceSpec, generate, read_matrix_csv
 
@@ -169,6 +171,20 @@ class TestCalibrateCommand:
                        "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_auto_alpha_hat_is_the_hurst_estimate(self, tmp_path):
+        # p = 16, the smallest p of the Hurst grid
+        data = tmp_path / "d.csv"
+        run_cli("simulate", "--kind", "srd", "--n", "30", "--p", "16",
+                "--seed", "5", "--out", str(data))
+        alpha_hat = estimate_alpha_hurst(
+            compute_column_stats(read_matrix_csv(data)))
+        auto, given = tmp_path / "auto.csv", tmp_path / "given.csv"
+        for out, value in ((auto, "auto"), (given, repr(alpha_hat))):
+            assert run_cli("calibrate", "--data", str(data), "--m", "10",
+                           "--regime", "ergodic", "--alpha-hat", value,
+                           "--out", str(out)) == EXIT_OK
+        assert auto.read_bytes() == given.read_bytes()
+
 
 class TestExperimentCommand:
     def test_runs_config_file(self, tmp_path):
@@ -246,6 +262,12 @@ class TestLimitsCommand:
         assert len(vals) == 40
         assert min(vals) >= 0
 
+    def test_lrd_needs_alpha(self, tmp_path):
+        out = tmp_path / "draws.csv"
+        assert run_cli("limits", "--regime", "lrd", "--draws", "10",
+                       "--seed", "1", "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_lrd_alpha_out_of_range(self):
         assert run_cli("limits", "--regime", "lrd", "--alpha", "0.7",
                        "--draws", "10", "--seed", "1") == EXIT_CONFIG
@@ -294,6 +316,27 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli_mod._COMMANDS, "stat", boom)
         assert run_cli("stat", "--data", "whatever.csv") == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("name", [
+        "DimensionError", "DomainError", "ParameterError",
+        "DegenerateDataError", "ConfigError", "NumericError",
+        "ConvergenceError"])
+    def test_exit_code_follows_the_error_class(self, monkeypatch, name):
+        import pelhd.cli as cli_mod
+        import pelhd.errors as errors
+
+        cls = getattr(errors, name)
+        is_input = issubclass(cls, ValueError)
+        assert is_input != issubclass(cls, errors.NumericError)
+
+        def boom(args):
+            if cls is errors.ConvergenceError:
+                raise cls("synthetic", best_pi=None, residual=1.0)
+            raise cls("synthetic")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "stat", boom)
+        assert run_cli("stat", "--data", "whatever.csv") == (
+            EXIT_CONFIG if is_input else EXIT_NUMERIC)
 
 
 @pytest.mark.parametrize("module", ["simulate", "core", "calibration",

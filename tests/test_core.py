@@ -10,8 +10,8 @@ from pelhd.core import (
     PelConfig,
     _LowRankStep,
     _kkt_solve,
+    _newton,
     _solve_blocks,
-    _solve_stack,
     compute_column_stats,
     neg_log_pel_ratio,
     objective,
@@ -175,6 +175,14 @@ class TestObjective:
             objective([0.0, 1.0], dm, [0.0], cfg)
         with pytest.raises(DomainError):
             objective([-0.1, 1.1], dm, [0.0], cfg)
+        # mu is checked as in solve_pel: on p = 3 data a length-1 mu is not
+        # broadcast, and neither length reaches a numpy shape error
+        dm3 = compute_column_stats([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
+        for mu in ([0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]):
+            with pytest.raises(DimensionError):
+                objective([0.5, 0.5], dm3, mu, cfg)
+        with pytest.raises(DomainError):
+            objective([0.5, 0.5], dm3, [0.0, np.nan, 0.0], cfg)
 
     def test_matches_direct_evaluation(self):
         rng = rng_for("obj", 2)
@@ -299,10 +307,18 @@ class TestSolvePel:
         ytil[1, 0, 0] = np.inf
         cfg = PelConfig()
         with np.errstate(invalid="ignore"):
-            _, stat, _, ok, _ = _solve_stack(_LowRankStep(ytil, 2.0), cfg)
+            _, stat, _, ok, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
         assert ok.tolist() == [True, False, True]
-        alone = _solve_stack(_LowRankStep(ytil[[0, 2]], 2.0), cfg)[1]
+        alone = _newton(_LowRankStep(ytil[[0, 2]], 2.0), cfg)[1]
         np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
+        # an infinite entry in every row: every row fails on the first
+        # step, and Newton ends on the retirement of the failed rows
+        ytil[:, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            pi, _, iters, ok, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
+        assert ok.tolist() == [False, False, False]
+        assert iters.tolist() == [0, 0, 0]
+        np.testing.assert_array_equal(pi, 1.0 / 30)
 
     def test_stress_corpus_keeps_reference_solutions(self):
         """Every stress instance the reference solver solved is still

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import ndtri
 
 from pelhd.core import PelConfig, compute_column_stats, neg_log_pel_ratio
-from pelhd.errors import ConfigError
+from pelhd.errors import ConfigError, ConvergenceError, DegenerateDataError
 from pelhd import experiments
 from pelhd.experiments import (
     RESULT_COLUMNS,
@@ -354,3 +354,38 @@ class TestAggregate:
         assert row["n_reps"] == 97
         assert math.isnan(row["a_hat"])
         assert math.isnan(row["abs_err"])
+
+
+class TestFailedStages:
+    """A stage that raises leaves NaN in the cells it feeds, and only there."""
+
+    def test_failed_full_sample_solve_empties_every_row(self, monkeypatch):
+        def no_solve(data, mu, cfg):
+            raise ConvergenceError("synthetic", best_pi=None, residual=1.0)
+
+        monkeypatch.setattr(experiments, "solve_pel", no_solve)
+        cfg = small_cfg(mode="calibration-compare", n_replicates=2,
+                        m_rules=(("ergodic", 1.0), ("ergodic", 2.0)),
+                        levels=(0.05, 0.1))
+        assert np.isnan(experiments._replicate(cfg, 0)).all()
+        rows = run_experiment(cfg)
+        assert len(rows) == 6
+        for row in rows:
+            assert row["n_reps"] == 0
+            assert math.isnan(row["a_hat"]) and math.isnan(row["abs_err"])
+
+    def test_failed_variance_plugin_empties_the_normal_row_only(
+            self, monkeypatch):
+        cfg = small_cfg(mode="calibration-compare", n=60, p=20,
+                        m_rules=(("ergodic", 1.0), ("ergodic", 2.0)),
+                        levels=(0.05, 0.1))
+        want = experiments._replicate(cfg, 0)
+        assert not np.isnan(want).any()
+
+        def no_plugin(data, c_star):
+            raise DegenerateDataError("synthetic")
+
+        monkeypatch.setattr(experiments, "estimate_kappa_sq_plugin", no_plugin)
+        got = experiments._replicate(cfg, 0)
+        np.testing.assert_array_equal(got[:-1], want[:-1])
+        assert np.isnan(got[-1]).all()

@@ -271,6 +271,12 @@ class TestDeterminismAndDispatch:
         assert DependenceSpec.non_ergodic().decay_exponent == 0.0
         assert DependenceSpec.short_range_arma().decay_exponent == math.inf
 
+    def test_short_range_defaults_are_the_field_defaults(self):
+        assert DependenceSpec.short_range_arma() == DependenceSpec(kind="srd")
+        spec = DependenceSpec.short_range_arma(ar=[0.5, -0.3], ma=[0.2])
+        assert spec == DependenceSpec(kind="srd", ar=(0.5, -0.3), ma=(0.2,))
+        assert spec.burn_in == DependenceSpec(kind="srd").burn_in
+
 
 class TestNeCorrelationGrid:
     def test_unit_diagonal_and_rank(self):
