@@ -87,12 +87,13 @@ def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,
     rule="ergodic": m = round(c0 * max((n p)^(a/(1+a)), n^(1/3))) with
     a = min(alpha0, 1/2); a = 1/2 reduces to the short-range choice
     c0 * (n p)^(1/3).  rule="ne-cuberoot" / "ne-sqrt": m = round(c0 * n^(1/3))
-    or round(c0 * sqrt(n)).  The result is clamped to [2, n-1].
+    or round(c0 * sqrt(n)).  The result is clamped to [2, n-1].  This is
+    the one check of the rule name and of c0 (finite and positive).
     """
     if n < 2 or p < 2:
         raise DimensionError("need n, p >= 2")
-    if c0 <= 0:
-        raise DomainError("c0 must be positive")
+    if not 0 < c0 < math.inf:
+        raise DomainError(f"c0 must be positive and finite, got {c0}")
     if rule == "ergodic":
         if not alpha0 > 0:
             raise DomainError(f"alpha0 must be positive, got {alpha0}")
@@ -104,7 +105,7 @@ def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,
         m = c0 * math.sqrt(n)
     else:
         raise DomainError(f"unknown subsample-size rule {rule!r}")
-    return int(np.clip(round(m), 2, n - 1))
+    return int(round(min(max(m, 2.0), n - 1)))
 
 
 def _block_ytil(windows, mu0):

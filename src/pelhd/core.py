@@ -20,19 +20,20 @@ budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and how many
 problems' n x p data are standardized at once, so that a curve's linear
 systems and data take a few MB at any n.  With G = 2 lambda Ytil Ytil'
 the penalty equals pi'G pi / 2 and the Hessian is diag(1/pi^2) + G.  The
-shape picks how a Newton step is computed, and nothing else: for
-n <= LOWRANK_RATIO p each iteration solves the bordered (n+1)-dimensional
-KKT systems built from the n x n Gram matrices; above that G, of rank at
-most p, is never formed, and a step goes through a p x p capacitance
-matrix of the n x p factor sqrt(2 lambda) Ytil in O(n p^2) time.  Memory
-therefore grows with n min(n, p).  Once the squared Newton decrement -g'd
-is below 1/16 the step is in the pure-Newton phase of this self-concordant
-objective and is taken in full, so convergence does not hinge on comparing
-objective values that differ by less than their rounding; larger steps
-backtrack to an Armijo decrease.  A problem leaves the stack once its KKT
-residual is below ``newton_tol``; one that Newton leaves unconverged is
-reported as such.  ``solve_pel`` logs the path, shape, iterations and
-residual of each solve at DEBUG level.
+shape picks the one matrix stack a path holds, and with it how G v and a
+Newton step are computed, and nothing else: for n <= LOWRANK_RATIO p the
+stack is the n x n matrices G themselves, and each iteration solves the
+bordered (n+1)-dimensional KKT systems built from them; above that G, of
+rank at most p, is never formed, the stack is the n x p factors
+sqrt(2 lambda) Ytil, and a step goes through a p x p capacitance matrix in
+O(n p^2) time.  Memory therefore grows with n min(n, p).  Once the squared
+Newton decrement -g'd is below 1/16 the step is in the pure-Newton phase of
+this self-concordant objective and is taken in full, so convergence does
+not hinge on comparing objective values that differ by less than their
+rounding; larger steps backtrack to an Armijo decrease.  A problem leaves
+the stack once its KKT residual is below ``newton_tol``; one that Newton
+leaves unconverged is reported as such.  ``solve_pel`` logs the path,
+shape, iterations and residual of each solve at DEBUG level.
 """
 
 from __future__ import annotations
@@ -118,12 +119,14 @@ class PelConfig:
     max_newton_iters: int = 100
 
     def __post_init__(self):
-        if not self.c_star > 0:
-            raise DomainError(f"c_star must be positive, got {self.c_star}")
-        if self.lam is not None and self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam}")
-        if self.newton_tol <= 0:
-            raise DomainError("newton_tol must be positive")
+        if not 0 < self.c_star < math.inf:
+            raise DomainError(
+                f"c_star must be positive and finite, got {self.c_star}")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise DomainError(f"lam must be >= 0 and finite, got {self.lam}")
+        if not 0 < self.newton_tol < math.inf:
+            raise DomainError("newton_tol must be positive and finite, "
+                              f"got {self.newton_tol}")
         if self.max_newton_iters < 1:
             raise DomainError("max_newton_iters must be positive")
 
@@ -246,7 +249,8 @@ def _kkt_solve(kkt, rhs):
 
 
 class _GramStep:
-    """Newton steps from the n x n matrices G_b = 2 lambda Ytil_b Ytil_b'.
+    """Newton steps from ``mat``, the n x n matrices
+    G_b = 2 lambda Ytil_b Ytil_b'.
 
     Each step solves the bordered (n+1)-dimensional KKT systems of the
     active rows in one batched call: O(n^3) time and O(n^2) memory per
@@ -258,43 +262,33 @@ class _GramStep:
     def __init__(self, gram, lam):
         # ``gram`` (B, n, n) holds Ytil_b Ytil_b' and is scaled in place
         n_rows, n, _ = gram.shape
-        self.shape, self.gram = (n_rows, n), gram
-        self.gram *= 2.0 * lam
+        gram *= 2.0 * lam
+        self.mat = gram
         self.kkt = np.zeros((n_rows, n + 1, n + 1))
         self.kkt[:, :n, n] = 1.0
         self.kkt[:, n, :n] = 1.0
         self.rhs = np.zeros((n_rows, n + 1, 1))
 
-    def penalized(self):
-        return self.gram.any(axis=(1, 2))
-
-    def keep(self, rows):
-        # the stack shrinks only when a row leaves it, so with B = 1 the
-        # Gram matrix is never copied
-        self.gram = self.gram[rows]
-
     def matvec(self, v):
-        return _matvec(self.gram, v)
-
-    def quad(self, d):
-        return np.einsum("ij,ij->i", _matvec(self.gram, d), d)
+        return _matvec(self.mat, v)
 
     def step(self, x, grad):
         b, n = x.shape
         kkt = self.kkt[:b]
-        kkt[:, :n, :n] = self.gram
+        kkt[:, :n, :n] = self.mat
         kkt.reshape(b, -1)[:, : n * (n + 2): n + 2] += x ** -2
         self.rhs[:b, :n, 0] = -grad
         return _kkt_solve(kkt, self.rhs[:b])[:, :n, 0]
 
 
 class _LowRankStep:
-    """Newton steps from the n x p factors U_b = sqrt(2 lambda) Ytil_b.
+    """Newton steps from ``mat``, the n x p factors
+    U_b = sqrt(2 lambda) Ytil_b.
 
-    G_b = U_b U_b' has rank at most p and is never formed: G v is U (U'v)
-    and d'G d is ||U'd||^2.  A step costs O(n p^2) time and O(n p) memory
-    per problem, through the p x p capacitance matrix of the matrix
-    inversion lemma (Boyd & Vandenberghe, App. C.4).
+    G_b = U_b U_b' has rank at most p and is never formed: G v is U (U'v).
+    A step costs O(n p^2) time and O(n p) memory per problem, through the
+    p x p capacitance matrix of the matrix inversion lemma (Boyd &
+    Vandenberghe, App. C.4).
 
     On the tangent space 1'd = 0 the Hessian diag(pi^-2) + U U' acts as
     H = diag(pi^-2) + Uc Uc' with the centered factor Uc = U - 1 a',
@@ -314,26 +308,17 @@ class _LowRankStep:
     name = "lowrank"
 
     def __init__(self, ytil, lam):
-        self.shape, self.u = ytil.shape[:2], np.sqrt(2.0 * lam) * ytil
-
-    def penalized(self):
-        return self.u.any(axis=(1, 2))
-
-    def keep(self, rows):
-        self.u = self.u[rows]
+        self.mat = np.sqrt(2.0 * lam) * ytil
 
     def matvec(self, v):
-        return _matvec(self.u, _matvec(self.u.transpose(0, 2, 1), v))
-
-    def quad(self, d):
-        return np.sum(_matvec(self.u.transpose(0, 2, 1), d) ** 2, axis=1)
+        return _matvec(self.mat, _matvec(self.mat.transpose(0, 2, 1), v))
 
     def step(self, x, grad):
-        p = self.u.shape[2]
+        p = self.mat.shape[2]
         x2 = x * x
         norm2 = x2.sum(axis=1, keepdims=True)
-        a = _matvec(self.u.transpose(0, 2, 1), x2) / norm2
-        v = x[:, :, None] * (self.u - a[:, None, :])
+        a = _matvec(self.mat.transpose(0, 2, 1), x2) / norm2
+        v = x[:, :, None] * (self.mat - a[:, None, :])
         vt = v.transpose(0, 2, 1)
         cap = np.matmul(vt, v)
         cap.reshape(len(x), -1)[:, :: p + 1] += 1.0
@@ -346,16 +331,16 @@ class _LowRankStep:
         return -x * off_pi(w)
 
 
-def _step_lengths(pi, d, gpi, quad, dec):
+def _step_lengths(pi, d, gpi, matvec, dec):
     """Step length of each row of the stack along its Newton direction ``d``.
 
     A row whose squared Newton decrement ``dec`` is below
     FULL_STEP_DECREMENT takes the full step.  The others backtrack from
     the largest step that keeps pi > 0 until the Armijo condition holds.
     Along the step the objective changes by -sum log1p(t d/pi) + t d'G pi
-    + t^2 d'G d / 2, which is accurate however small the change; the
-    caller's ``quad(d)`` gives d'G d for each row, and is only called when
-    a row backtracks.  Returns NaN where the decrement is not finite or
+    + t^2 d'G d / 2, which is accurate however small the change; d'G d is
+    d (G d) from the stack's ``matvec``, called only when a row
+    backtracks.  Returns NaN where the decrement is not finite or
     backtracking gave out.
     """
     finite = np.isfinite(dec)
@@ -367,7 +352,7 @@ def _step_lengths(pi, d, gpi, quad, dec):
         return t
     rows = np.flatnonzero(damped)
     pr, dr = pi[rows], d[rows]
-    quad = quad(d)[rows]
+    quad = np.einsum("ij,ij->i", matvec(d), d)[rows]
     lin = np.einsum("ij,ij->i", gpi[rows], dr)
     slope = np.minimum(-dec[rows], 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -393,9 +378,12 @@ def _newton(lin, cfg: PelConfig):
     """Feasible-start Newton on a stack of B same-shape problems: the one
     function from a stack to its statistics.
 
-    ``lin`` (a _GramStep or a _LowRankStep) holds the linear algebra of the
-    matrices G_b = 2 lambda Ytil_b Ytil_b', so that row b minimizes
-    -sum log(n pi) + pi'G_b pi / 2, whose Hessian is diag(1/pi^2) + G_b.
+    ``lin`` (a _GramStep or a _LowRankStep) holds in ``lin.mat`` a (B, n, k)
+    stack that defines the matrices G_b = 2 lambda Ytil_b Ytil_b', so that
+    row b minimizes -sum log(n pi) + pi'G_b pi / 2, whose Hessian is
+    diag(1/pi^2) + G_b; it computes only the products G v (``matvec``) and
+    the Newton steps (``step``).  This loop reads the stack's shape and
+    zero-penalty rows from ``mat`` and drops the rows that leave it.
     Every row starts at the uniform weights 1/n.  Both kinds share this
     loop, its step rule and its stopping rule; each iteration takes the
     Newton steps of the rows still active in one batched call.  A row
@@ -410,10 +398,10 @@ def _newton(lin, cfg: PelConfig):
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
     is not a statistic.
     """
-    n_rows, n = lin.shape
+    n_rows, n = lin.mat.shape[:2]
     max_iters = cfg.max_newton_iters
     # read before rows leave the stack
-    penalized = lin.penalized()
+    penalized = lin.mat.any(axis=(1, 2))
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
     residual = np.full(n_rows, np.inf)
@@ -429,7 +417,9 @@ def _newton(lin, cfg: PelConfig):
         stat[finished] = _criterion(x[mask], gpi[mask])
         iterations[finished] = it
         keep = ~mask
-        lin.keep(keep)
+        # the stack shrinks only when a row leaves it, so with B = 1 the
+        # matrices are never copied
+        lin.mat = lin.mat[keep]
         return [a[keep] for a in (rows, x, *arrays)]
 
     for it in range(max_iters + 1):
@@ -446,7 +436,7 @@ def _newton(lin, cfg: PelConfig):
         d = lin.step(x, grad)
         # the squared Newton decrement: -g'd equals d'Hd at the KKT solution
         dec = -np.einsum("ij,ij->i", grad, d)
-        t = _step_lengths(x, d, gpi, lin.quad, dec)
+        t = _step_lengths(x, d, gpi, lin.matvec, dec)
         failed = np.isnan(t)
         if failed.any():
             rows, x, d, t = retire(failed, it, d, t)

@@ -31,7 +31,7 @@ from .calibration import (
     subsample_size,
 )
 from .core import PelConfig, compute_column_stats, solve_pel
-from .errors import ConfigError, PelhdError
+from .errors import ConfigError, DomainError, PelhdError
 from .simulate import DependenceSpec, generate
 
 __all__ = [
@@ -51,7 +51,6 @@ RESULT_COLUMNS = (
 )
 
 MODES = ("level", "power", "calibration-compare")
-M_RULES = ("ergodic", "ne-cuberoot", "ne-sqrt")
 
 # Replicate failure fraction beyond which a result cell is invalidated.
 MAX_CELL_FAILURE_RATE = 0.02
@@ -90,11 +89,14 @@ class ExperimentConfig:
                 raise ConfigError(f"levels must lie strictly in (0,1), got {a}")
         if not self.m_rules:
             raise ConfigError("need at least one m-rule")
-        for rule, c0 in self.m_rules:
-            if rule not in M_RULES:
-                raise ConfigError(f"unknown m-rule {rule!r}")
-            if c0 <= 0:
-                raise ConfigError(f"m-rule constant must be positive, got {c0}")
+        if not math.isfinite(self.mu1_scale):
+            raise ConfigError(
+                f"mu1_scale must be finite, got {self.mu1_scale}")
+        try:
+            self.subsample_sizes()
+            self.pel_config()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.mode == "calibration-compare":
             if self.dependence.decay_exponent <= 0.5:
                 raise ConfigError(
@@ -109,10 +111,9 @@ class ExperimentConfig:
         return PelConfig(c_star=self.c_star)
 
     def subsample_sizes(self) -> tuple[int, ...]:
-        alpha0 = min(self.dependence.decay_exponent, 0.5)
         return tuple(
-            subsample_size(self.n, self.p, alpha0 if alpha0 > 0 else 0.5,
-                           c0, rule)
+            subsample_size(self.n, self.p,
+                           self.dependence.decay_exponent or 0.5, c0, rule)
             for rule, c0 in self.m_rules
         )
 

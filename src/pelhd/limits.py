@@ -22,6 +22,8 @@ since the Cholesky factor of the surrogate is triangular.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
@@ -112,8 +114,8 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
         raise DimensionError("p_surrogate must be >= 2")
     if n_draws < 1:
         raise DimensionError(f"n_draws must be >= 1, got {n_draws}")
-    if not c_star >= 0:
-        raise DomainError(f"c_star must be >= 0, got {c_star}")
+    if not 0 <= c_star < math.inf:
+        raise DomainError(f"c_star must be >= 0 and finite, got {c_star}")
     p = p_surrogate
     u = lrd_correlation(p, alpha).chol_upper
     rng = np.random.default_rng(seed)

@@ -78,6 +78,17 @@ class TestSubsampleSize:
         assert subsample_size(10, 2, c0=50.0, rule="ne-sqrt") == 9
         assert subsample_size(10, 2, c0=1e-6, rule="ne-sqrt") == 2
 
+    @pytest.mark.parametrize("rule", ["ergodic", "ne-cuberoot", "ne-sqrt"])
+    def test_huge_constant_clamps_to_n_minus_1(self, rule):
+        # c0 n^(1/3) overflows to inf, which must clamp like any large m
+        assert subsample_size(200, 20, c0=1e308, rule=rule) == 199
+
+    @pytest.mark.parametrize("c0", [math.nan, math.inf])
+    @pytest.mark.parametrize("rule", ["ergodic", "ne-cuberoot", "ne-sqrt"])
+    def test_non_finite_constant_rejected(self, rule, c0):
+        with pytest.raises(DomainError):
+            subsample_size(200, 20, c0=c0, rule=rule)
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             subsample_size(1, 10)

@@ -108,6 +108,17 @@ class TestStatCommand:
     def test_missing_file(self):
         assert run_cli("stat", "--data", "/nonexistent/x.csv") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args", [
+        ("stat", "--lam", "nan"), ("stat", "--lam", "inf"),
+        ("stat", "--c-star", "inf"),
+        ("calibrate", "--m", "2", "--c-star", "inf"),
+    ])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, args):
+        path = tmp_path / "d.csv"
+        path.write_text("0.5,1.0\n-0.5,2.0\n1.5,0.0\n2.5,1.0\n")
+        assert run_cli(*args, "--data", str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("kind", MALFORMED_CSV)
     def test_malformed_file_is_config_error(self, tmp_path, kind):
         bad = tmp_path / "bad.csv"
@@ -234,6 +245,23 @@ class TestExperimentCommand:
                        "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", [
+        ["m_rules = ergodic:nan"], ["m_rules = ergodic:inf"],
+        ["c_star = inf"], ["mode = power", "mu1_scale = nan"],
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, lines):
+        base = ["mode = level", "dependence = srd", "n = 40", "p = 16",
+                "n_replicates = 2", "seed = 3"]
+        keys = {line.split(" = ")[0] for line in lines}
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("\n".join(
+            [b for b in base if b.split(" = ")[0] not in keys] + lines + [""]))
+        out = tmp_path / "res.csv"
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zero_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -272,7 +300,7 @@ class TestLimitsCommand:
         assert run_cli("limits", "--regime", "lrd", "--alpha", "0.7",
                        "--draws", "10", "--seed", "1") == EXIT_CONFIG
 
-    @pytest.mark.parametrize("c_star", ["-1", "nan"])
+    @pytest.mark.parametrize("c_star", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("regime", [("ne",), ("lrd", "--alpha", "0.1")],
                              ids=["ne", "lrd"])
     def test_bad_c_star_exits_2(self, tmp_path, regime, c_star):

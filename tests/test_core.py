@@ -525,6 +525,14 @@ class TestPelConfig:
         with pytest.raises(DomainError):
             PelConfig(c_star=1.0, max_newton_iters=0)
 
+    @pytest.mark.parametrize("setting", [
+        {"c_star": math.nan}, {"c_star": math.inf}, {"lam": math.nan},
+        {"lam": math.inf}, {"newton_tol": math.nan}, {"newton_tol": math.inf},
+    ], ids=lambda s: "-".join(f"{k}={v}" for k, v in s.items()))
+    def test_non_finite_settings_rejected(self, setting):
+        with pytest.raises(DomainError):
+            PelConfig(**setting)
+
 
 if __name__ == "__main__":
     import sys

@@ -52,8 +52,23 @@ class TestConfigValidation:
             small_cfg(m_rules=(("bogus", 1.0),))
         with pytest.raises(ConfigError):
             small_cfg(m_rules=(("ergodic", 0.0),))
+        for c0 in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                small_cfg(m_rules=(("ergodic", c0),))
+            with pytest.raises(ConfigError):
+                small_cfg(dependence=DependenceSpec.non_ergodic(),
+                          m_rules=(("ne-sqrt", c0),))
         with pytest.raises(ConfigError):
             small_cfg(n_replicates=0)
+
+    @pytest.mark.parametrize("setting", [
+        {"c_star": math.inf}, {"c_star": math.nan}, {"c_star": 0.0},
+        {"mode": "power", "mu1_scale": math.nan},
+        {"mode": "power", "mu1_scale": math.inf},
+    ], ids=lambda s: "-".join(f"{k}={v}" for k, v in s.items()))
+    def test_bad_pel_settings_rejected_when_built(self, setting):
+        with pytest.raises(ConfigError):
+            small_cfg(**setting)
 
     def test_compare_requires_weak_dependence(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,12 @@ import scipy.linalg
 import scipy.signal
 from scipy.stats import ks_2samp
 
-from pelhd.errors import DimensionError, DomainError, ParameterError
+from pelhd.errors import (
+    DimensionError,
+    DomainError,
+    NumericError,
+    ParameterError,
+)
 from pelhd.simulate import (
     DependenceSpec,
     arma_autocorrelations,
@@ -112,6 +117,46 @@ class TestLrdCorrelation:
         assert np.all(scaled > 0)
         mid = np.median(scaled)
         assert np.max(np.abs(scaled / mid - 1)) < 0.10
+
+
+@pytest.fixture
+def failing_cholesky(monkeypatch):
+    """Install an np.linalg.cholesky whose first ``k`` calls raise
+    LinAlgError: ``failing_cholesky(k)`` returns the list of matrices it is
+    called with.  lrd_correlation's cache is cleared around the test."""
+    real = np.linalg.cholesky
+
+    def install(k):
+        calls = []
+
+        def cholesky(a, *args, **kwargs):
+            calls.append(np.array(a))
+            if len(calls) <= k:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        return calls
+
+    lrd_correlation.cache_clear()
+    yield install
+    lrd_correlation.cache_clear()
+
+
+class TestLrdCholeskyFailure:
+    def test_jitter_retry_factors_the_jittered_matrix(self, failing_cholesky):
+        calls = failing_cholesky(1)
+        lc = lrd_correlation(12, 0.3)
+        first, retried = calls
+        np.testing.assert_array_equal(retried, first + 1e-12 * np.eye(12))
+        np.testing.assert_allclose(lc.chol_upper.T @ lc.chol_upper, retried,
+                                   atol=1e-12)
+
+    def test_second_failure_raises_numeric_error(self, failing_cholesky):
+        calls = failing_cholesky(2)
+        with pytest.raises(NumericError, match="jitter"):
+            lrd_correlation(12, 0.3)
+        assert len(calls) == 2
 
 
 class TestGenLrd:
