@@ -25,7 +25,6 @@ from .core import (
     PelSolution,
     compute_column_stats,
     neg_log_pel_ratio,
-    objective,
     solve_pel,
 )
 from .errors import (
@@ -51,8 +50,6 @@ from .limits import (
 )
 from .simulate import (
     DependenceSpec,
-    LrdCorrelation,
-    arma_autocorrelations,
     gen_lrd,
     gen_non_ergodic,
     gen_srd_arma,
@@ -60,7 +57,6 @@ from .simulate import (
     lrd_correlation,
     ne_correlation,
     read_matrix_csv,
-    write_matrix_csv,
 )
 
 __version__ = "0.1.0"

@@ -34,6 +34,13 @@ def _number_or_auto(value: str):
             f"must be a number or 'auto', got {value!r}") from None
 
 
+def _seed(value: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's seeding requires."""
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return int(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pelhd",
@@ -58,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ar", type=keys["ar"], help="AR coefficients a1,a2")
     p_sim.add_argument("--ma", type=keys["ma"], help="MA coefficients b1,b2,...")
     p_sim.add_argument("--burn-in", type=keys["burn_in"])
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_cal = sub.add_parser("calibrate", help="emit the subsampling curve as CSV")
@@ -85,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--p-surrogate", type=int, default=2048)
     p_lim.add_argument("--draws", type=int, default=10_000)
     p_lim.add_argument("--c-star", type=float, default=1.0)
-    p_lim.add_argument("--seed", type=int, required=True)
+    p_lim.add_argument("--seed", type=_seed, required=True)
     p_lim.add_argument("--out", default=None)
     return parser
 

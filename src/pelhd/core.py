@@ -74,7 +74,6 @@ __all__ = [
     "PelConfig",
     "PelSolution",
     "compute_column_stats",
-    "objective",
     "solve_pel",
     "neg_log_pel_ratio",
 ]
@@ -213,20 +212,6 @@ def _criterion(pi, gpi):
     """
     return (-np.sum(np.log(pi.shape[1] * pi), axis=1)
             + 0.5 * np.einsum("ij,ij->i", pi, gpi))
-
-
-def objective(pi, data: DataMatrix, mu, cfg: PelConfig) -> float:
-    """Evaluate -sum log(n pi_i) + lambda sum_j delta_j M_j^2 at ``pi``.
-
-    ``pi`` must be strictly positive (DomainError otherwise); the caller
-    is responsible for sum(pi) == 1.  ``mu`` is checked as in ``solve_pel``.
-    """
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0):
-        raise DomainError("all simplex weights must be strictly positive")
-    ytil = (data.values - _checked_mu(mu, data.p)) * np.sqrt(data.delta)
-    gpi = 2.0 * cfg.penalty(data.n, data.p) * (ytil @ (ytil.T @ pi))
-    return float(_criterion(pi[None], gpi[None])[0])
 
 
 def _matvec(a, v):

@@ -117,7 +117,7 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     if not 0 <= c_star < math.inf:
         raise DomainError(f"c_star must be >= 0 and finite, got {c_star}")
     p = p_surrogate
-    u = lrd_correlation(p, alpha).chol_upper
+    u = lrd_correlation(p, alpha)
     rng = np.random.default_rng(seed)
     scale = c_star * p ** (alpha - 1.0)
     out = np.empty(n_draws)

@@ -35,7 +35,6 @@ from .errors import DimensionError, DomainError, NumericError, ParameterError
 
 __all__ = [
     "DependenceSpec",
-    "LrdCorrelation",
     "gen_non_ergodic",
     "lrd_correlation",
     "gen_lrd",
@@ -43,8 +42,6 @@ __all__ = [
     "generate",
     "ne_basis",
     "ne_correlation",
-    "arma_autocorrelations",
-    "write_matrix_csv",
     "read_matrix_csv",
 ]
 
@@ -78,6 +75,8 @@ class DependenceSpec:
                     f"LRD requires alpha in (0,1), got {self.alpha}")
         if self.kind == "srd":
             _check_causal(self.ar)
+            if not all(math.isfinite(b) for b in self.ma):
+                raise ParameterError(f"ma coefficients must be finite, got {self.ma}")
             if self.burn_in < 0:
                 raise ParameterError("burn_in must be >= 0")
 
@@ -117,14 +116,6 @@ def _check_causal(ar):
         raise ParameterError(f"AR polynomial is not causal for ar={ar}")
 
 
-@dataclass(frozen=True)
-class LrdCorrelation:
-    """Toeplitz correlation of fGn increments and its upper Cholesky factor."""
-
-    rho: np.ndarray
-    chol_upper: np.ndarray
-
-
 def ne_basis(t) -> np.ndarray:
     """Basis values phi_j(t) for j = 0..30 as a (31, len(t)) matrix.
 
@@ -162,8 +153,9 @@ def ne_correlation(q: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=3)
-def lrd_correlation(p: int, alpha: float) -> LrdCorrelation:
-    """Correlation sequence rho_alpha(k), k < p, and Cholesky of its Toeplitz.
+def lrd_correlation(p: int, alpha: float) -> np.ndarray:
+    """Upper Cholesky factor U, read-only, of the p x p Toeplitz correlation
+    R = U'U of the sequence rho_alpha(k), k < p.
 
     rho(k) ~ C k^{-alpha}; the matrix is positive definite for
     H = (2-alpha)/2 in (1/2, 1).  A 1e-12 diagonal jitter is retried once
@@ -197,16 +189,15 @@ def lrd_correlation(p: int, alpha: float) -> LrdCorrelation:
     # Fortran order, the layout LAPACK writes: the layout of u picks the
     # BLAS kernel of z @ u in gen_lrd, and with it the last bits of the data
     u = np.asfortranarray(u)
-    rho.setflags(write=False)
     u.setflags(write=False)
-    return LrdCorrelation(rho=rho, chol_upper=u)
+    return u
 
 
 def gen_lrd(n: int, p: int, alpha: float, seed) -> np.ndarray:
     """Rows are N(0, Toeplitz(rho_alpha)) via U'z with R = U'U."""
     if n < 1:
         raise DimensionError("n must be >= 1")
-    u = lrd_correlation(p, alpha).chol_upper
+    u = lrd_correlation(p, alpha)
     z = np.random.default_rng(seed).standard_normal((n, p))
     return z @ u
 
@@ -314,32 +305,6 @@ def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
     return gen_srd_arma(n, p, spec, seed)
 
 
-def arma_autocorrelations(ar, ma, nlags: int, n_psi: int = 4096) -> np.ndarray:
-    """Autocorrelations rho(0..nlags) of an ARMA process, via its MA(inf) weights.
-
-    psi_0 = 1, psi_j = b_j + a1 psi_{j-1} + a2 psi_{j-2} (b_j = 0 beyond the
-    MA order); gamma(k) = sum_j psi_j psi_{j+k}.  The psi sequence decays
-    geometrically for causal AR parts, so truncation at ``n_psi`` terms is
-    far below rounding error at the default; it must exceed ``nlags``.
-    """
-    _check_causal(ar)
-    if nlags >= n_psi:
-        raise DimensionError(f"need nlags < n_psi, got nlags={nlags}, n_psi={n_psi}")
-    a1, a2 = ar
-    psi = [1.0]
-    for j in range(1, n_psi):
-        val = ma[j - 1] if j <= len(ma) else 0.0
-        val += a1 * psi[j - 1]
-        if j >= 2:
-            val += a2 * psi[j - 2]
-        psi.append(val)
-    psi = np.asarray(psi)
-    gamma = np.array(
-        [psi[: n_psi - k] @ psi[k:] for k in range(nlags + 1)]
-    )
-    return gamma / gamma[0]
-
-
 def _format_matrix_csv(x: np.ndarray, kind: str = "", seed=None) -> str:
     """A data matrix as CSV text with a one-line ``#`` metadata header."""
     n, p = x.shape
@@ -348,14 +313,8 @@ def _format_matrix_csv(x: np.ndarray, kind: str = "", seed=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix_csv(path, x: np.ndarray, kind: str = "", seed=None) -> None:
-    """Dump a data matrix as CSV with a one-line ``#`` metadata header."""
-    with open(path, "w") as fh:
-        fh.write(_format_matrix_csv(x, kind, seed))
-
-
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a data matrix written by ``write_matrix_csv`` (``#`` lines skipped)."""
+    """Read a data matrix as ``pelhd simulate`` writes it (``#`` lines skipped)."""
     with warnings.catch_warnings():
         # an empty file is reported below, not as a loadtxt warning
         warnings.simplefilter("ignore", UserWarning)

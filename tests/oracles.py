@@ -172,6 +172,12 @@ def arma_autocovariance(ar, ma, nlags, n_terms=4000):
     return np.array([psi[: n_terms - k] @ psi[k:] for k in range(nlags + 1)])
 
 
+def arma_autocorrelation(ar, ma, nlags, n_terms=4096):
+    """rho(0..nlags) = gamma(k) / gamma(0), from 4096 psi weights by default."""
+    gamma = arma_autocovariance(ar, ma, nlags, n_terms)
+    return gamma / gamma[0]
+
+
 def lrd_rho(alpha, nlags):
     """Increment correlations of a self-similar process, H = (2-alpha)/2."""
     two_h = 2.0 - alpha

@@ -25,7 +25,6 @@ from pelhd import (
     gen_lrd,
     gen_non_ergodic,
     gen_srd_arma,
-    lrd_correlation,
     ne_correlation,
     neg_log_pel_ratio,
     rows_to_csv,
@@ -36,10 +35,9 @@ from pelhd import (
 )
 from pelhd.calibration import build_curve_ne
 from pelhd.limits import kappa_squared
-from pelhd.simulate import arma_autocorrelations
 
 from conftest import ACCEPT_SEED, rng_for
-from oracles import simplex_grid_minimum
+from oracles import arma_autocorrelation, lrd_rho, simplex_grid_minimum
 
 SRD = DependenceSpec.short_range_arma()
 CFG1 = PelConfig(c_star=1.0)
@@ -144,7 +142,7 @@ def test_criterion_05_short_range_power():
 
 @pytest.mark.slow
 def test_criterion_06_normal_limit_shape():
-    rho = arma_autocorrelations(SRD.ar, SRD.ma, 60)
+    rho = arma_autocorrelation(SRD.ar, SRD.ma, 60)
     kappa = math.sqrt(kappa_squared(rho, 1.0))
     passes = 0
     pvals = []
@@ -222,7 +220,7 @@ def test_criterion_10_lrd_generator_fidelity():
     target = 0.5 * (2**1.2 - 2)
     ok_corr = abs(lag1 - target) <= 0.03
 
-    rho = lrd_correlation(400, 0.8).rho
+    rho = lrd_rho(0.8, 399)
     k = np.arange(50, 400)
     scaled = rho[50:] * k**0.8
     mid = float(np.median(scaled))

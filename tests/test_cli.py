@@ -72,6 +72,20 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("ma", ["nan", "0.3,inf,0.1"])
+    def test_non_finite_ma_exits_2(self, tmp_path, ma):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--kind", "srd", "--ma", ma,
+                       "--n", "4", "--p", "3", "--seed", "1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--kind", "ne", "--n", "4", "--p", "3",
+                       "--seed", "-1", "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
 
 # a ragged file and one with a non-numeric cell
 MALFORMED_CSV = {"ragged": "1,2\n3\n", "non_numeric": "1,a\n"}
@@ -248,6 +262,7 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("lines", [
         ["m_rules = ergodic:nan"], ["m_rules = ergodic:inf"],
         ["c_star = inf"], ["mode = power", "mu1_scale = nan"],
+        ["ma = 0.3, nan, 0.1"],
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, lines):
         base = ["mode = level", "dependence = srd", "n = 40", "p = 16",
@@ -261,6 +276,19 @@ class TestExperimentCommand:
                        "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        base = ("mode = level\ndependence = srd\nn = 40\np = 16\n"
+                "levels = 0.1\nm_rules = ergodic:1\nn_replicates = 2\n")
+        cfg, out = tmp_path / "exp.ini", tmp_path / "res.csv"
+        cfg.write_text(base + "seed = -1\n")
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        cfg.write_text(base + "seed = 3\n")
+        assert run_cli("experiment", "--config", str(cfg), "--seed", "-1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
     def test_zero_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.ini"
@@ -307,6 +335,15 @@ class TestLimitsCommand:
         out = tmp_path / "draws.csv"
         assert run_cli("limits", "--regime", *regime, "--c-star", c_star,
                        "--p-surrogate", "256", "--draws", "10", "--seed", "1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime", [("ne",), ("lrd", "--alpha", "0.1")],
+                             ids=["ne", "lrd"])
+    def test_negative_seed_exits_2(self, tmp_path, regime):
+        out = tmp_path / "draws.csv"
+        assert run_cli("limits", "--regime", *regime, "--p-surrogate", "256",
+                       "--draws", "10", "--seed", "-1",
                        "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 

@@ -14,7 +14,6 @@ from pelhd.core import (
     _solve_blocks,
     compute_column_stats,
     neg_log_pel_ratio,
-    objective,
     solve_pel,
 )
 from pelhd.errors import ConvergenceError, DimensionError, DomainError
@@ -148,55 +147,6 @@ class TestColumnStats:
             compute_column_stats(x)
 
 
-class TestObjective:
-    def test_zero_at_uniform_and_mean(self):
-        dm, _ = random_instance(rng_for("obj", 0), n=6, p=2)
-        cfg = PelConfig(c_star=1.0)
-        pi = np.full(6, 1.0 / 6)
-        assert objective(pi, dm, dm.col_mean, cfg) == pytest.approx(0.0, abs=1e-14)
-
-    def test_zero_when_penalty_off(self):
-        dm, mu = random_instance(rng_for("obj", 1), n=5, p=2)
-        cfg = PelConfig(c_star=1.0, lam=0.0)
-        pi = np.full(5, 0.2)
-        assert objective(pi, dm, mu, cfg) == pytest.approx(0.0, abs=1e-14)
-
-    def test_hand_value(self):
-        # n = 2, p = 1, X = (0, 2), mu = 0, lam = 1, uniform weights:
-        # log terms vanish and the penalty is 1 * 1 * (mean 1)^2 = 1
-        dm = compute_column_stats([[0.0], [2.0]])
-        cfg = PelConfig(c_star=1.0, lam=1.0)
-        assert objective([0.5, 0.5], dm, [0.0], cfg) == pytest.approx(1.0, rel=1e-14)
-
-    def test_nonpositive_weight_rejected(self):
-        dm = compute_column_stats([[0.0], [2.0]])
-        cfg = PelConfig(c_star=1.0)
-        with pytest.raises(DomainError):
-            objective([0.0, 1.0], dm, [0.0], cfg)
-        with pytest.raises(DomainError):
-            objective([-0.1, 1.1], dm, [0.0], cfg)
-        # mu is checked as in solve_pel: on p = 3 data a length-1 mu is not
-        # broadcast, and neither length reaches a numpy shape error
-        dm3 = compute_column_stats([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
-        for mu in ([0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]):
-            with pytest.raises(DimensionError):
-                objective([0.5, 0.5], dm3, mu, cfg)
-        with pytest.raises(DomainError):
-            objective([0.5, 0.5], dm3, [0.0, np.nan, 0.0], cfg)
-
-    def test_matches_direct_evaluation(self):
-        rng = rng_for("obj", 2)
-        for _ in range(20):
-            dm, mu = random_instance(rng)
-            cfg = PelConfig(c_star=float(rng.uniform(0.2, 2.0)))
-            pi = rng.dirichlet(np.ones(dm.n))
-            pi = np.clip(pi, 1e-9, None)
-            pi /= pi.sum()
-            lam = cfg.penalty(dm.n, dm.p)
-            expect = objective_direct(pi, dm.values - mu, dm.delta, lam)
-            assert objective(pi, dm, mu, cfg) == pytest.approx(expect, rel=1e-12)
-
-
 class TestSolvePel:
     def test_optimum_at_mean(self):
         dm, _ = random_instance(rng_for("solve", 0), n=20, p=3)
@@ -261,6 +211,10 @@ class TestSolvePel:
         dm, _ = random_instance(rng_for("solve", 5), n=4, p=2)
         with pytest.raises(DimensionError):
             solve_pel(dm, np.zeros(3), PelConfig(c_star=1.0))
+        # a length-1 mu is not broadcast, and a (1, p) one is not flattened
+        for mu in ([0.0], [[0.0, 0.0]]):
+            with pytest.raises(DimensionError):
+                solve_pel(dm, mu, PelConfig(c_star=1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_mu_rejected(self, bad):
@@ -486,14 +440,14 @@ class TestStatisticProperties:
         """
         import scipy.linalg
 
-        from pelhd.simulate import DependenceSpec, arma_autocorrelations, gen_srd_arma
+        from pelhd.simulate import DependenceSpec, gen_srd_arma
 
-        from oracles import arma_autocovariance
+        from oracles import arma_autocorrelation, arma_autocovariance
 
         spec = DependenceSpec.short_range_arma()
         gamma0 = arma_autocovariance(spec.ar, spec.ma, 0)[0]
         corr = scipy.linalg.toeplitz(
-            arma_autocorrelations(spec.ar, spec.ma, 19))
+            arma_autocorrelation(spec.ar, spec.ma, 19))
         cfg = PelConfig(c_star=1.0)
         n, p = 200, 20
         gam = cfg.penalty(n, p) / n

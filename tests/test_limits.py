@@ -152,7 +152,7 @@ class TestLrdLimitSampler:
     def test_matches_dense_product(self, p, n_draws):
         alpha, c_star = 0.2, 1.5
         draws = sample_lrd_limit(alpha, p, n_draws, 17, c_star)
-        reference = lrd_limit_dense(lrd_correlation(p, alpha).chol_upper,
+        reference = lrd_limit_dense(lrd_correlation(p, alpha),
                                     alpha, n_draws, 17, c_star)
         assert_draws_agree(draws, reference)
 
@@ -182,8 +182,8 @@ class TestLrdLimitSampler:
         """
         alpha = 0.1
         p2, p4 = 2048, 4096
-        u4 = lrd_correlation(p4, alpha).chol_upper
-        u2 = lrd_correlation(p2, alpha).chol_upper
+        u4 = lrd_correlation(p4, alpha)
+        u2 = lrd_correlation(p2, alpha)
         np.testing.assert_allclose(u4[:p2, :p2], u2, atol=1e-10)
         rng = rng_for("lrdlim", 3)
         q2_parts, q4_parts = [], []
@@ -219,7 +219,7 @@ def agreement_table(rounds=5):
     grid = ne_correlation(200)
     cases = [(f"lrd:alpha={a}",
               lambda a=a: sample_lrd_limit(a, 2048, 1000, 5, 1.0),
-              lambda a=a: lrd_limit_dense(lrd_correlation(2048, a).chol_upper,
+              lambda a=a: lrd_limit_dense(lrd_correlation(2048, a),
                                           a, 1000, 5, 1.0))
              for a in (0.1, 0.3)]
     cases.append(("ne:q=200", lambda: sample_ne_limit(grid, 1.0, 10_000, 5),

@@ -14,7 +14,7 @@ from pelhd.errors import (
 )
 from pelhd.simulate import (
     DependenceSpec,
-    arma_autocorrelations,
+    _format_matrix_csv,
     gen_lrd,
     gen_non_ergodic,
     gen_srd_arma,
@@ -22,7 +22,6 @@ from pelhd.simulate import (
     lrd_correlation,
     ne_correlation,
     read_matrix_csv,
-    write_matrix_csv,
 )
 
 from conftest import rng_for
@@ -65,18 +64,20 @@ class TestNonErgodic:
 
 
 class TestLrdCorrelation:
+    # R = U'U has unit diagonal, so U[0, 0] = 1 and the first row of U is
+    # the first row of R: the correlation sequence rho(0..p-1)
     def test_lag_one_value(self):
-        lc = lrd_correlation(10, 0.8)
-        assert lc.rho[0] == 1.0
-        assert lc.rho[1] == pytest.approx(0.5 * (2**1.2 - 2), abs=1e-12)
+        u = lrd_correlation(10, 0.8)
+        assert u[0, 0] == 1.0
+        assert u[0, 1] == pytest.approx(0.5 * (2**1.2 - 2), abs=1e-12)
 
     def test_matches_direct_formula(self):
-        lc = lrd_correlation(64, 0.3)
-        np.testing.assert_allclose(lc.rho, lrd_rho(0.3, 63), rtol=1e-12)
+        u = lrd_correlation(64, 0.3)
+        np.testing.assert_allclose(u[0], lrd_rho(0.3, 63), rtol=1e-12)
 
     def test_vanishes_as_alpha_approaches_one(self):
-        lc = lrd_correlation(6, 1.0 - 1e-9)
-        assert np.max(np.abs(lc.rho[1:])) < 1e-6
+        u = lrd_correlation(6, 1.0 - 1e-9)
+        assert np.max(np.abs(u - np.eye(6))) < 1e-6
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
@@ -85,16 +86,15 @@ class TestLrdCorrelation:
             lrd_correlation(10, 0.0)
 
     def test_cached_and_read_only(self):
-        lc = lrd_correlation(32, 0.4)
-        assert lrd_correlation(32, 0.4) is lc
-        assert not lc.rho.flags.writeable
-        assert not lc.chol_upper.flags.writeable
+        u = lrd_correlation(32, 0.4)
+        assert lrd_correlation(32, 0.4) is u
+        assert not u.flags.writeable
 
     def test_cholesky_reconstructs(self):
-        lc = lrd_correlation(80, 0.5)
-        r = scipy.linalg.toeplitz(lc.rho)
-        np.testing.assert_allclose(lc.chol_upper.T @ lc.chol_upper, r, atol=1e-8)
-        assert np.allclose(np.tril(lc.chol_upper, -1), 0.0)
+        u = lrd_correlation(80, 0.5)
+        r = scipy.linalg.toeplitz(lrd_rho(0.5, 79))
+        np.testing.assert_allclose(u.T @ u, r, atol=1e-8)
+        assert np.allclose(np.tril(u, -1), 0.0)
 
     @pytest.mark.parametrize("p, alpha", [
         (20, 0.1), (100, 0.1), (400, 0.1), (20, 0.8), (100, 0.8), (400, 0.8),
@@ -102,18 +102,17 @@ class TestLrdCorrelation:
     ])
     def test_cholesky_equals_scipy_bit_for_bit(self, p, alpha):
         # the shipped configs' pairs and the limit samplers' surrogate size
-        lc = lrd_correlation(p, alpha)
-        expect = scipy.linalg.cholesky(scipy.linalg.toeplitz(lc.rho),
-                                       lower=False)
-        np.testing.assert_array_equal(lc.chol_upper, expect)
+        expect = scipy.linalg.cholesky(
+            scipy.linalg.toeplitz(lrd_rho(alpha, p - 1)), lower=False)
+        np.testing.assert_array_equal(lrd_correlation(p, alpha), expect)
         z = np.random.default_rng(5).standard_normal((50, p))
         np.testing.assert_array_equal(gen_lrd(50, p, alpha, 5), z @ expect)
 
     def test_power_law_decay(self):
         alpha = 0.8
-        lc = lrd_correlation(500, alpha)
+        rho = lrd_correlation(500, alpha)[0]
         k = np.arange(50, 500)
-        scaled = lc.rho[50:] * k**alpha
+        scaled = rho[50:] * k**alpha
         assert np.all(scaled > 0)
         mid = np.median(scaled)
         assert np.max(np.abs(scaled / mid - 1)) < 0.10
@@ -146,11 +145,10 @@ def failing_cholesky(monkeypatch):
 class TestLrdCholeskyFailure:
     def test_jitter_retry_factors_the_jittered_matrix(self, failing_cholesky):
         calls = failing_cholesky(1)
-        lc = lrd_correlation(12, 0.3)
+        u = lrd_correlation(12, 0.3)
         first, retried = calls
         np.testing.assert_array_equal(retried, first + 1e-12 * np.eye(12))
-        np.testing.assert_allclose(lc.chol_upper.T @ lc.chol_upper, retried,
-                                   atol=1e-12)
+        np.testing.assert_allclose(u.T @ u, retried, atol=1e-12)
 
     def test_second_failure_raises_numeric_error(self, failing_cholesky):
         calls = failing_cholesky(2)
@@ -240,6 +238,12 @@ class TestGenSrdArma:
         with pytest.raises(ParameterError):
             DependenceSpec.short_range_arma(ar=ar)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ma_rejected(self, bad):
+        # a NaN or infinite MA coefficient makes every generated entry NaN
+        with pytest.raises(ParameterError, match="ma"):
+            DependenceSpec.short_range_arma(ma=(0.3, bad, 0.1))
+
     def test_causality_agrees_with_the_roots(self):
         # off the unit circle, the stationarity triangle and the roots of
         # 1 - a1 z - a2 z^2 give the same verdict
@@ -258,38 +262,6 @@ class TestGenSrdArma:
         spec = DependenceSpec.short_range_arma()
         x = gen_srd_arma(10_000, 20, spec, rng_for("srd", 3))
         assert np.all(np.abs(x.mean(axis=0)) < 4 * math.sqrt(x.var()) / 100)
-
-
-class TestArmaAutocorrelations:
-    def test_matches_independent_unrolling(self):
-        rho = arma_autocorrelations((-0.4, 0.1), (0.3, 0.5, 0.1), 10)
-        gamma = arma_autocovariance((-0.4, 0.1), (0.3, 0.5, 0.1), 10)
-        np.testing.assert_allclose(rho, gamma / gamma[0], rtol=1e-10)
-        assert rho[0] == 1.0
-
-    @pytest.mark.parametrize("ar, ma", [
-        ((-0.4, 0.1), (0.3, 0.5, 0.1)),
-        ((0.5, -0.3), (0.0, 0.0, 0.0)),
-        ((0.9, 0.0), (0.2,)),
-        ((0.0, 0.0), (0.3, 0.5, 0.1)),
-    ])
-    def test_equals_the_unrolled_recursion_exactly(self, ar, ma):
-        # the filter runs the same recursion in the same order as the loop
-        gamma = arma_autocovariance(ar, ma, 400, n_terms=4096)
-        np.testing.assert_array_equal(
-            arma_autocorrelations(ar, ma, 400), gamma / gamma[0])
-
-    def test_white_noise(self):
-        rho = arma_autocorrelations((0.0, 0.0), (0.0, 0.0, 0.0), 5)
-        np.testing.assert_allclose(rho[1:], 0.0, atol=1e-15)
-
-    @pytest.mark.parametrize("nlags,n_psi", [(4096, 4096), (4097, 4096),
-                                             (6399, 4096), (10, 8)])
-    def test_lags_beyond_the_psi_terms_rejected(self, nlags, n_psi):
-        with pytest.raises(DimensionError):
-            arma_autocorrelations((-0.4, 0.1), (0.3, 0.5, 0.1), nlags, n_psi)
-        assert arma_autocorrelations(
-            (-0.4, 0.1), (0.3, 0.5, 0.1), n_psi - 1, n_psi).shape == (n_psi,)
 
 
 class TestDeterminismAndDispatch:
@@ -336,7 +308,7 @@ class TestCsvRoundTrip:
     def test_write_and_read(self, tmp_path):
         x = rng_for("csv", 0).normal(size=(7, 3))
         path = tmp_path / "data.csv"
-        write_matrix_csv(path, x, kind="srd", seed=42)
+        path.write_text(_format_matrix_csv(x, kind="srd", seed=42))
         first = path.read_text().splitlines()[0]
         assert first == "# n=7 p=3 kind=srd seed=42"
         back = read_matrix_csv(path)
