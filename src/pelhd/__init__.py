@@ -24,7 +24,6 @@ from .core import (
     PelConfig,
     PelSolution,
     compute_column_stats,
-    neg_log_pel_ratio,
     solve_pel,
 )
 from .errors import (
@@ -50,9 +49,6 @@ from .limits import (
 )
 from .simulate import (
     DependenceSpec,
-    gen_lrd,
-    gen_non_ergodic,
-    gen_srd_arma,
     generate,
     lrd_correlation,
     ne_correlation,

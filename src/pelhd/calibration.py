@@ -122,11 +122,11 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
 
     The blocks are solved by ``core._solve_blocks``, the builder that also
     serves ``solve_pel``; it cuts them into Newton stacks under the element
-    budget ``core.BLOCK_CHUNK_ELEMENTS`` and asks ``_block_ytil`` for the
-    standardized data of a slice of blocks at a time.  Failed block solves
-    are recorded as NaN; NumericError above the 1% tolerance (isolated
-    failures must not silently bias the quantiles).  Each curve logs its
-    shape, path, stack count, iterations and failures at DEBUG level.
+    budget ``core.BLOCK_CHUNK_ELEMENTS``, asks ``_block_ytil`` for the
+    standardized data of a slice of blocks at a time, and logs the curve's
+    one DEBUG record on the ``pelhd.core`` logger.  Failed block solves
+    are recorded as NaN, each with a WARNING; NumericError above the 1%
+    tolerance (isolated failures must not silently bias the quantiles).
 
     Returns (stats, failed): one statistic per block, block i starting at
     row i, and the number of failed blocks.
@@ -137,7 +137,7 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     mu0 = _checked_mu(mu0, p)
     windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
     n_blocks = len(windows)
-    stats, iters, ok, res, _, stacks, path = _solve_blocks(
+    stats, iters, ok, res, _ = _solve_blocks(
         lambda lo, hi: _block_ytil(windows[lo:hi], mu0), n_blocks, m, p,
         cfg.c_star * m / p, cfg)
     failed = np.flatnonzero(~ok)
@@ -145,10 +145,6 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
         logger.warning("block %d/%d failed: residual %.3e after %d iterations",
                        b, n_blocks, res[b], iters[b])
     stats[failed] = np.nan
-    logger.debug(
-        "block curve: path=%s m=%d p=%d blocks=%d stacks=%d iterations=%d "
-        "max_iterations=%d failed=%d", path, m, p, n_blocks, stacks,
-        iters.sum(), iters.max(), failed.size)
     if failed.size > MAX_BLOCK_FAILURE_RATE * n_blocks:
         raise NumericError(
             f"{failed.size}/{n_blocks} subsample blocks failed to converge")
@@ -211,7 +207,7 @@ def estimate_alpha_invariant(data: DataMatrix) -> float:
     """
     if data.p < 2:
         raise DimensionError("need p >= 2")
-    e_n = 1.0 if not np.any(data.col_var > 0) else 0.0
+    e_n = 1.0 if not np.any(data.delta > 0) else 0.0
     w = np.sqrt(data.delta)
     inner = (data.values - data.col_mean) @ w / data.p
     arg = e_n + float(np.mean(inner**2))

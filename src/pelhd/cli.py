@@ -4,8 +4,9 @@ Subcommands: ``stat`` (statistic for a CSV data set), ``calibrate``
 (subsampling curve as CSV), ``simulate`` (generate data CSV),
 ``experiment`` (run a flat config file, emit results CSV) and ``limits``
 (sample a reference limit law).  Exit codes follow the class of the error:
-0 success; 2 configuration or usage error (argparse, a missing file, or a
-PelhdError that is a ValueError); 3 numeric failure (any other PelhdError).
+0 success; 2 configuration or usage error (argparse, an OSError such as a
+missing file or a directory where a file is expected, or a PelhdError that
+is a ValueError); 3 numeric failure (any other PelhdError).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import calibration, experiments, limits, simulate
-from .core import PelConfig, compute_column_stats, neg_log_pel_ratio
+from .core import PelConfig, compute_column_stats, solve_pel
 from .errors import ConfigError, PelhdError
 
 EXIT_OK = 0
@@ -119,7 +120,7 @@ def _cmd_stat(args) -> int:
     data = compute_column_stats(x)
     mu = _read_mu(args.mu, data.p)
     cfg = PelConfig(c_star=args.c_star, lam=args.lam)
-    print(repr(neg_log_pel_ratio(data, mu, cfg)))
+    print(repr(solve_pel(data, mu, cfg).stat))
     return EXIT_OK
 
 
@@ -197,8 +198,8 @@ def cli_main(argv) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
-    except (PelhdError, FileNotFoundError) as exc:
-        if isinstance(exc, (ValueError, FileNotFoundError)):
+    except (PelhdError, OSError) as exc:
+        if isinstance(exc, (ValueError, OSError)):
             # bad inputs or inconsistent options
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

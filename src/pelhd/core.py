@@ -32,8 +32,10 @@ this self-concordant objective and is taken in full, so convergence does
 not hinge on comparing objective values that differ by less than their
 rounding; larger steps backtrack to an Armijo decrease.  A problem leaves
 the stack once its KKT residual is below ``newton_tol``; one that Newton
-leaves unconverged is reported as such.  ``solve_pel`` logs the path,
-shape, iterations and residual of each solve at DEBUG level.
+leaves unconverged is reported as such.  The builder logs one DEBUG
+record on this module's logger per run of problems, a full sample or a
+curve: its path, shape, problem and stack counts, total and largest
+iteration count, failed problems and largest residual.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ __all__ = [
     "PelSolution",
     "compute_column_stats",
     "solve_pel",
-    "neg_log_pel_ratio",
 ]
 
 
@@ -83,13 +84,12 @@ __all__ = [
 class DataMatrix:
     """An n x p observation matrix with per-column summaries.
 
-    ``col_var`` uses divisor n (not n-1).  ``delta[j]`` is the inverse
-    column variance, or 0 for a constant column.
+    ``delta[j]`` is the inverse of the divisor-n (not n-1) column
+    variance, or 0 for a constant column.
     """
 
     values: np.ndarray
     col_mean: np.ndarray
-    col_var: np.ndarray
     delta: np.ndarray
 
     @property
@@ -168,7 +168,7 @@ def _moments(x):
 
 
 def compute_column_stats(values) -> DataMatrix:
-    """Build a DataMatrix: column means, divisor-n variances, delta weights.
+    """Build a DataMatrix: column means and delta weights.
 
     Raises DimensionError for fewer than 2 rows and DomainError for a
     NaN or infinite entry (it makes its column's mean non-finite).
@@ -188,9 +188,9 @@ def compute_column_stats(values) -> DataMatrix:
     if bad.any():
         raise DomainError(
             f"non-finite mean or variance in column {np.flatnonzero(bad)[0]}")
-    for arr in (x, mean, var, delta):
+    for arr in (x, mean, delta):
         arr.setflags(write=False)
-    return DataMatrix(values=x, col_mean=mean, col_var=var, delta=delta)
+    return DataMatrix(values=x, col_mean=mean, delta=delta)
 
 
 def _checked_mu(mu, p: int) -> np.ndarray:
@@ -446,11 +446,16 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     matrices are filled slice by slice, and each slice's Ytil is dropped
     once they are written.
 
+    Logs one DEBUG record for the whole run: the path, n, p, the number
+    of problems and of stacks, the total and the largest iteration count,
+    the number of problems Newton left unconverged and the largest
+    residual.
+
     Returns (stat, iterations, converged, residual), one entry per problem
-    as from ``_newton``, then the weights of the last problem, the
-    number of stacks and the path name.  Only the last weights are kept:
-    ``solve_pel`` has one problem, and a curve that kept the weights of
-    all its n - m + 1 blocks would hold memory that grows with n m.
+    as from ``_newton``, then the weights of the last problem.  Only the
+    last weights are kept: ``solve_pel`` has one problem, and a curve that
+    kept the weights of all its n - m + 1 blocks would hold memory that
+    grows with n m.
     """
     kind = _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
     per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((n + 1) * (n + 1 + p)))
@@ -472,7 +477,13 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
         pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part
-    return (*out, pi[-1], math.ceil(n_blocks / per_stack), kind.name)
+    _, iters, ok, res = out
+    logger.debug(
+        "newton: path=%s n=%d p=%d problems=%d stacks=%d iterations=%d "
+        "max_iterations=%d failed=%d max_residual=%.3e", kind.name, n, p,
+        n_blocks, math.ceil(n_blocks / per_stack), iters.sum(), iters.max(),
+        n_blocks - ok.sum(), res.max())
+    return (*out, pi[-1])
 
 
 def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
@@ -497,11 +508,9 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     n, p = data.n, data.p
     mu = _checked_mu(mu, p)
     ytil = (data.values - mu) * np.sqrt(data.delta)
-    stat, iters, ok, res, pi, _, path = _solve_blocks(
+    stat, iters, ok, res, pi = _solve_blocks(
         lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
     res = float(res[0])
-    logger.debug("solve_pel: path=%s n=%d p=%d iterations=%d residual=%.3e",
-                 path, n, p, iters[0], res)
     if not ok[0]:
         raise ConvergenceError(
             f"PEL solver did not reach tol={cfg.newton_tol:g} "
@@ -510,8 +519,3 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
         )
     return PelSolution(pi=pi, stat=float(stat[0]), iterations=int(iters[0]),
                        kkt_residual=res)
-
-
-def neg_log_pel_ratio(data: DataMatrix, mu, cfg: PelConfig) -> float:
-    """The statistic K_n(mu) = -log R_n(mu); nonnegative, zero at the mean."""
-    return solve_pel(data, mu, cfg).stat

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 A PelhdError that is also a ValueError reports a bad input and makes the
-command line exit with 2; the others (NumericError and ConvergenceError)
-report a numerical failure and exit with 3.
+command line exit with 2, as does an OSError (a missing file, or a
+directory where a file is expected); the other PelhdErrors (NumericError
+and ConvergenceError) report a numerical failure and exit with 3.
 """
 
 import numpy as np

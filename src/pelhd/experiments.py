@@ -91,6 +91,10 @@ class ExperimentConfig:
                 raise ConfigError(f"levels must lie strictly in (0,1), got {a}")
         if not self.m_rules:
             raise ConfigError("need at least one m-rule")
+        for key, entries in (("levels", self.levels), ("m_rules", self.m_rules)):
+            # a repeated entry would repeat its result rows
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{key} repeats an entry: {entries}")
         if not math.isfinite(self.mu1_scale):
             raise ConfigError(
                 f"mu1_scale must be finite, got {self.mu1_scale}")
@@ -378,6 +382,8 @@ def dependence_spec(kind, **keys) -> DependenceSpec:
 def load_experiment_configs(text: str) -> list[ExperimentConfig]:
     """Expand a flat config into one ExperimentConfig per requested p.
 
+    ``p`` must list at least one value, none of them twice.
+
     Only the typed values the file sets are passed on; the other fields
     keep their dataclass defaults, except m_rules, whose default depends
     on the regime.
@@ -386,6 +392,8 @@ def load_experiment_configs(text: str) -> list[ExperimentConfig]:
     for key in ("mode", "n", "p", "n_replicates", "seed"):
         if key not in values:
             raise ConfigError(f"missing required config key {key!r}")
+    if not values["p"] or len(set(values["p"])) < len(values["p"]):
+        raise ConfigError(f"'p' must list distinct values, got {values['p']}")
     dep = dependence_spec(values.get("dependence"), **values)
     kwargs = {k: v for k, v in values.items()
               if k in ExperimentConfig.__dataclass_fields__}

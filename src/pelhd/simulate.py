@@ -1,7 +1,7 @@
 """Samplers for the three component-dependence regimes.
 
-Each generator returns an n x p matrix of i.i.d. rows, reproducibly from a
-seed:
+``generate`` returns an n x p matrix of i.i.d. rows of a regime,
+reproducibly from a seed:
 
 * non-ergodic: rows are a fixed 31-term trigonometric expansion
   ``W(t) = sum_j Z_j phi_j(t) * (e+1)`` evaluated at t = j/p;
@@ -35,12 +35,8 @@ from .errors import DimensionError, DomainError, NumericError, ParameterError
 
 __all__ = [
     "DependenceSpec",
-    "gen_non_ergodic",
     "lrd_correlation",
-    "gen_lrd",
-    "gen_srd_arma",
     "generate",
-    "ne_basis",
     "ne_correlation",
     "read_matrix_csv",
 ]
@@ -116,7 +112,7 @@ def _check_causal(ar):
         raise ParameterError(f"AR polynomial is not causal for ar={ar}")
 
 
-def ne_basis(t) -> np.ndarray:
+def _ne_basis(t) -> np.ndarray:
     """Basis values phi_j(t) for j = 0..30 as a (31, len(t)) matrix.
 
     phi_0 = 1, phi_j = sin(2 pi j t)/sqrt(2) for j = 1..15 and
@@ -131,36 +127,28 @@ def ne_basis(t) -> np.ndarray:
     return phi
 
 
-def gen_non_ergodic(n: int, p: int, seed) -> np.ndarray:
-    """Rows X_i = (W(j/p))_j, j = 1..p, with W the 31-term basis expansion."""
-    if n < 1 or p < 1:
-        raise DimensionError("n and p must be >= 1")
-    phi = ne_basis(np.arange(1, p + 1) / p)
-    z = np.random.default_rng(seed).standard_normal((n, _NE_TERMS))
-    return _NE_WEIGHT * (z @ phi)
-
-
 def ne_correlation(q: int) -> np.ndarray:
     """Correlation of (W(1/q), ..., W(q/q)) under the basis expansion.
 
     The variance sum_j phi_j(t)^2 = 1 + 15/2 is constant in t, so this is
     the covariance grid rescaled by a scalar.
     """
-    phi = ne_basis(np.arange(1, q + 1) / q)
+    phi = _ne_basis(np.arange(1, q + 1) / q)
     cov = phi.T @ phi
     d = np.sqrt(np.diag(cov))
     return cov / np.outer(d, d)
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=6)
 def lrd_correlation(p: int, alpha: float) -> np.ndarray:
     """Upper Cholesky factor U, read-only, of the p x p Toeplitz correlation
     R = U'U of the sequence rho_alpha(k), k < p.
 
     rho(k) ~ C k^{-alpha}; the matrix is positive definite for
     H = (2-alpha)/2 in (1/2, 1).  A 1e-12 diagonal jitter is retried once
-    if rounding spoils the factorization; NumericError otherwise.  The
-    three most recently used (p, alpha) pairs are cached.
+    if rounding spoils the factorization; NumericError otherwise.  The six
+    most recently used (p, alpha) pairs are cached: the two LRD level
+    configs at their three p values each, which a run cycles through.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
@@ -187,19 +175,10 @@ def lrd_correlation(p: int, alpha: float) -> np.ndarray:
                 "with 1e-12 diagonal jitter; matrix is numerically indefinite"
             ) from exc
     # Fortran order, the layout LAPACK writes: the layout of u picks the
-    # BLAS kernel of z @ u in gen_lrd, and with it the last bits of the data
+    # BLAS kernel of z @ u in generate, and with it the last bits of the data
     u = np.asfortranarray(u)
     u.setflags(write=False)
     return u
-
-
-def gen_lrd(n: int, p: int, alpha: float, seed) -> np.ndarray:
-    """Rows are N(0, Toeplitz(rho_alpha)) via U'z with R = U'U."""
-    if n < 1:
-        raise DimensionError("n must be >= 1")
-    u = lrd_correlation(p, alpha)
-    z = np.random.default_rng(seed).standard_normal((n, p))
-    return z @ u
 
 
 @functools.lru_cache(maxsize=8)
@@ -283,26 +262,28 @@ def _arma_filter(eps: np.ndarray, ar, ma, n_keep: int) -> np.ndarray:
     return np.ascontiguousarray(y.reshape(n, -1)[:, -n_keep:])
 
 
-def gen_srd_arma(n: int, p: int, spec: DependenceSpec, seed) -> np.ndarray:
-    """Rows are independent length-p stretches of a stationary ARMA(2,q).
+def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
+    """An n x p sample of ``spec``'s regime, one i.i.d. row per observation.
 
-    X_t = a1 X_{t-1} + a2 X_{t-2} + eps_t + b1 eps_{t-1} + ... + bq eps_{t-q}
-    with N(0,1) innovations (q = 3 by default), filtered from a zero state;
-    the first ``burn_in`` values are discarded to wash out that state.
+    * NE: X_i = (W(j/p))_j, j = 1..p, with W the 31-term basis expansion.
+    * LRD: rows are N(0, Toeplitz(rho_alpha)), drawn as z U with R = U'U.
+    * SRD: rows are independent length-p stretches of a stationary
+      ARMA(2,q), X_t = a1 X_{t-1} + a2 X_{t-2} + eps_t + b1 eps_{t-1} + ...
+      + bq eps_{t-q} with N(0,1) innovations (q = 3 by default), filtered
+      from a zero state; the first ``burn_in`` values are discarded to
+      wash out that state.
     """
     if n < 1 or p < 1:
         raise DimensionError("n and p must be >= 1")
-    eps = np.random.default_rng(seed).standard_normal((n, spec.burn_in + p))
-    return _arma_filter(eps, spec.ar, spec.ma, p)
-
-
-def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
-    """An n x p sample of ``spec``'s regime, drawn by its generator."""
+    rng = np.random.default_rng(seed)
     if spec.kind == "ne":
-        return gen_non_ergodic(n, p, seed)
+        phi = _ne_basis(np.arange(1, p + 1) / p)
+        return _NE_WEIGHT * (rng.standard_normal((n, _NE_TERMS)) @ phi)
     if spec.kind == "lrd":
-        return gen_lrd(n, p, spec.alpha, seed)
-    return gen_srd_arma(n, p, spec, seed)
+        u = lrd_correlation(p, spec.alpha)
+        return rng.standard_normal((n, p)) @ u
+    eps = rng.standard_normal((n, spec.burn_in + p))
+    return _arma_filter(eps, spec.ar, spec.ma, p)
 
 
 def _format_matrix_csv(x: np.ndarray, kind: str = "", seed=None) -> str:

@@ -22,11 +22,8 @@ from pelhd import (
     compute_column_stats,
     estimate_alpha_invariant,
     estimate_kappa_sq_invariant,
-    gen_lrd,
-    gen_non_ergodic,
-    gen_srd_arma,
+    generate,
     ne_correlation,
-    neg_log_pel_ratio,
     rows_to_csv,
     run_experiment,
     sample_ne_limit,
@@ -40,6 +37,7 @@ from conftest import ACCEPT_SEED, rng_for
 from oracles import arma_autocorrelation, lrd_rho, simplex_grid_minimum
 
 SRD = DependenceSpec.short_range_arma()
+NE = DependenceSpec.non_ergodic()
 CFG1 = PelConfig(c_star=1.0)
 
 
@@ -76,7 +74,7 @@ def test_criterion_02_exact_zero_at_the_sample_mean():
         p = int(rng.integers(1, 12))
         x = rng.normal(size=(n, p)) * rng.uniform(0.2, 5.0)
         dm = compute_column_stats(x)
-        worst = max(worst, abs(neg_log_pel_ratio(dm, dm.col_mean, CFG1)))
+        worst = max(worst, abs(solve_pel(dm, dm.col_mean, CFG1).stat))
     check(2, worst <= 1e-8, f"max |stat at mean| = {worst:.2e} (tol 1e-8)")
 
 
@@ -97,19 +95,19 @@ def test_criterion_03_invariance_suite():
 
         dm = compute_column_stats(x)
         base = (
-            neg_log_pel_ratio(dm, mu, CFG1),
+            solve_pel(dm, mu, CFG1).stat,
             estimate_alpha_invariant(dm),
             estimate_kappa_sq_invariant(dm, 1.0),
         )
         dm_p = compute_column_stats(x[:, perm])
         permuted = (
-            neg_log_pel_ratio(dm_p, mu[perm], CFG1),
+            solve_pel(dm_p, mu[perm], CFG1).stat,
             estimate_alpha_invariant(dm_p),
             estimate_kappa_sq_invariant(dm_p, 1.0),
         )
         dm_a = compute_column_stats(x * scale + shift)
         affine = (
-            neg_log_pel_ratio(dm_a, mu * scale + shift, CFG1),
+            solve_pel(dm_a, mu * scale + shift, CFG1).stat,
             estimate_alpha_invariant(dm_a),
             estimate_kappa_sq_invariant(dm_a, 1.0),
         )
@@ -149,9 +147,9 @@ def test_criterion_06_normal_limit_shape():
     for run in range(10):
         stats = np.empty(500)
         for rep in range(500):
-            x = gen_srd_arma(400, 100, SRD, rng_for("accept6", run, rep))
-            stats[rep] = neg_log_pel_ratio(
-                compute_column_stats(x), np.zeros(100), CFG1)
+            x = generate(SRD, 400, 100, rng_for("accept6", run, rep))
+            stats[rep] = solve_pel(
+                compute_column_stats(x), np.zeros(100), CFG1).stat
         z = math.sqrt(100) * (stats - 1.0) / kappa
         p = kstest(z, "norm").pvalue
         pvals.append(p)
@@ -164,9 +162,9 @@ def test_criterion_06_normal_limit_shape():
 def test_criterion_07_nonergodic_limit_match():
     stats = np.empty(500)
     for rep in range(500):
-        x = gen_non_ergodic(200, 100, rng_for("accept7", rep))
-        stats[rep] = neg_log_pel_ratio(
-            compute_column_stats(x), np.zeros(100), CFG1)
+        x = generate(NE, 200, 100, rng_for("accept7", rep))
+        stats[rep] = solve_pel(
+            compute_column_stats(x), np.zeros(100), CFG1).stat
     draws = sample_ne_limit(ne_correlation(200), 1.0, 20_000,
                             rng_for("accept7", 10_000))
     ks = ks_2samp(stats, draws).statistic
@@ -180,12 +178,12 @@ def test_criterion_08_subsampling_consistency():
         m = subsample_size(n, 100, c0=1.0, rule="ne-sqrt")
         oracle = np.empty(250)
         for rep in range(250):
-            x = gen_non_ergodic(n, 100, rng_for("accept8", n, rep))
-            oracle[rep] = neg_log_pel_ratio(
-                compute_column_stats(x), np.zeros(100), CFG1)
+            x = generate(NE, n, 100, rng_for("accept8", n, rep))
+            oracle[rep] = solve_pel(
+                compute_column_stats(x), np.zeros(100), CFG1).stat
         ks_vals = []
         for d in range(8):
-            x = gen_non_ergodic(n, 100, rng_for("accept8", n, 10_000 + d))
+            x = generate(NE, n, 100, rng_for("accept8", n, 10_000 + d))
             curve = build_curve_ne(compute_column_stats(x), np.zeros(100), m,
                                    CFG1)
             ks_vals.append(ks_2samp(curve.sorted_values, oracle).statistic)
@@ -214,7 +212,8 @@ def test_criterion_09_subsampling_vs_normal_calibration():
 
 
 def test_criterion_10_lrd_generator_fidelity():
-    x = gen_lrd(10_000, 50, 0.8, rng_for("accept10", 0))
+    x = generate(DependenceSpec.long_range(0.8), 10_000, 50,
+                 rng_for("accept10", 0))
     xc = x - x.mean(axis=0)
     lag1 = float(np.mean(xc[:, :-1] * xc[:, 1:]) / x.var())
     target = 0.5 * (2**1.2 - 2)

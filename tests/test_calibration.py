@@ -26,7 +26,6 @@ from pelhd.core import (
     BLOCK_CHUNK_ELEMENTS,
     PelConfig,
     compute_column_stats,
-    neg_log_pel_ratio,
     solve_pel,
 )
 from pelhd.errors import (
@@ -37,19 +36,14 @@ from pelhd.errors import (
     NumericError,
 )
 from pelhd.experiments import ExperimentConfig, load_experiment_configs
-from pelhd.simulate import (
-    DependenceSpec,
-    gen_lrd,
-    gen_non_ergodic,
-    gen_srd_arma,
-    generate,
-)
+from pelhd.simulate import DependenceSpec, generate
 
 from conftest import rng_for
 from oracles import arma_autocorrelation
 
 CFG = PelConfig(c_star=1.0)
 SPEC_SRD = DependenceSpec.short_range_arma()
+SPEC_NE = DependenceSpec.non_ergodic()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # A Newton budget of 1: any block that is not solved at the uniform start
 # fails.
@@ -132,12 +126,12 @@ class TestCurves:
         np.testing.assert_allclose(curve.sorted_values, 0.0, atol=1e-12)
 
     def test_sorted_ascending(self):
-        x = gen_srd_arma(60, 10, SPEC_SRD, rng_for("curve", 1))
+        x = generate(SPEC_SRD, 60, 10, rng_for("curve", 1))
         curve = build_curve_ne(compute_column_stats(x), np.zeros(10), 20, CFG)
         assert np.all(np.diff(curve.sorted_values) >= 0)
 
     def test_ergodic_centering_and_scale(self):
-        x = gen_srd_arma(60, 20, SPEC_SRD, rng_for("curve", 2))
+        x = generate(SPEC_SRD, 60, 20, rng_for("curve", 2))
         dm = compute_column_stats(x)
         raw = build_curve_ne(dm, np.zeros(20), 25, CFG)
         for alpha_hat in (0.3, 0.8, 2.0):
@@ -152,7 +146,7 @@ class TestCurves:
         # m = 74: all 3927 blocks in one chunk would take about 740 MB
         n, p = 4000, 100
         dm = compute_column_stats(
-            gen_srd_arma(n, p, SPEC_SRD, rng_for("curve", "memory")))
+            generate(SPEC_SRD, n, p, rng_for("curve", "memory")))
         m = subsample_size(n, p)
         tracemalloc.start()
         try:
@@ -167,7 +161,7 @@ class TestCurves:
         # matrices but no m x p Ytil
         n, p = 2000, 400
         dm = compute_column_stats(
-            gen_srd_arma(n, p, SPEC_SRD, rng_for("curve", "memory", p)))
+            generate(SPEC_SRD, n, p, rng_for("curve", "memory", p)))
         m = subsample_size(n, p)
         tracemalloc.start()
         try:
@@ -184,7 +178,7 @@ class TestCurves:
         kappa_sq = 2.0 * np.sum(rho**2)
         ratios = []
         for d in range(5):
-            x = gen_srd_arma(200, 100, SPEC_SRD, rng_for("curvevar", d))
+            x = generate(SPEC_SRD, 200, 100, rng_for("curvevar", d))
             dm = compute_column_stats(x)
             alpha_hat = estimate_alpha_hurst(dm)
             curve = build_curve_ergodic(dm, np.zeros(100), 27, alpha_hat, CFG)
@@ -206,10 +200,10 @@ class TestCurves:
 
         oracle = []
         for rep in range(300):
-            x = gen_non_ergodic(200, 100, rng_for("necurve", rep))
+            x = generate(SPEC_NE, 200, 100, rng_for("necurve", rep))
             oracle.append(
-                neg_log_pel_ratio(compute_column_stats(x), np.zeros(100), CFG))
-        x = gen_non_ergodic(200, 100, rng_for("necurve", 9999))
+                solve_pel(compute_column_stats(x), np.zeros(100), CFG).stat)
+        x = generate(SPEC_NE, 200, 100, rng_for("necurve", 9999))
         curve = build_curve_ne(compute_column_stats(x), np.zeros(100), 14, CFG)
         ks = ks_2samp(curve.sorted_values, oracle).statistic
         assert ks < 0.55
@@ -259,7 +253,8 @@ class TestAlphaInvariant:
     def test_strong_dependence_lowers_estimate(self):
         wins = 0
         for rep in range(200):
-            x_dep = gen_lrd(200, 400, 0.1, rng_for("apair", rep, 0))
+            x_dep = generate(DependenceSpec.long_range(0.1), 200, 400,
+                             rng_for("apair", rep, 0))
             x_ind = rng_for("apair", rep, 1).normal(size=(200, 400))
             a_dep = estimate_alpha_invariant(compute_column_stats(x_dep))
             a_ind = estimate_alpha_invariant(compute_column_stats(x_ind))
@@ -268,7 +263,7 @@ class TestAlphaInvariant:
 
     def test_permutation_and_affine_invariance(self):
         rng = rng_for("ainv-inv", 0)
-        x = gen_srd_arma(50, 24, SPEC_SRD, rng)
+        x = generate(SPEC_SRD, 50, 24, rng)
         base = estimate_alpha_invariant(compute_column_stats(x))
         perm = rng.permutation(24)
         assert abs(estimate_alpha_invariant(
@@ -298,7 +293,8 @@ class TestAlphaHurst:
     def test_long_range_dependence_detected(self):
         vals = [
             estimate_alpha_hurst(
-                compute_column_stats(gen_lrd(200, 400, 0.8, rng_for("h2", r))))
+                compute_column_stats(generate(DependenceSpec.long_range(0.8),
+                                              200, 400, rng_for("h2", r))))
             for r in range(100)
         ]
         assert 0.6 <= np.mean(vals) <= 1.0
@@ -378,7 +374,7 @@ class TestKappaSqPlugin:
         vals = [
             estimate_kappa_sq_plugin(
                 compute_column_stats(
-                    gen_srd_arma(200, 100, SPEC_SRD, rng_for("kplug2", r))),
+                    generate(SPEC_SRD, 200, 100, rng_for("kplug2", r))),
                 1.0)
             for r in range(100)
         ]
@@ -447,9 +443,9 @@ class TestConservativeRule:
         for n in (100, 200, 400):
             hits = 0
             for rep in range(100):
-                x = gen_srd_arma(n, 400, SPEC_SRD, rng_for("cons", n, rep))
-                kn = neg_log_pel_ratio(
-                    compute_column_stats(x), np.zeros(400), CFG)
+                x = generate(SPEC_SRD, n, 400, rng_for("cons", n, rep))
+                kn = solve_pel(
+                    compute_column_stats(x), np.zeros(400), CFG).stat
                 hits += conservative_reject(kn, 1.0, n)
             rates.append(hits / 100)
         assert rates[0] > 0  # fires under the null at these sizes
@@ -486,7 +482,7 @@ class TestStackedBlockSolves:
         assert blocks == sum(cfg.n - m + 1 for m in cfg.subsample_sizes())
 
     def test_tight_budgets_fail_the_curve_and_the_replicate(self, monkeypatch):
-        x = gen_non_ergodic(60, 16, rng_for("tight", 0))
+        x = generate(SPEC_NE, 60, 16, rng_for("tight", 0))
         data = compute_column_stats(x)
         with pytest.raises(NumericError):
             build_curve_ne(data, np.zeros(16), 8, TIGHT)
@@ -512,7 +508,7 @@ class TestStackedBlockSolves:
         slices; (20, 32) the low-rank one.  With a budget of 1 every slice
         and every Newton stack holds one block.
         """
-        x = gen_srd_arma(200, p, SPEC_SRD, rng_for("stacks", p))
+        x = generate(SPEC_SRD, 200, p, rng_for("stacks", p))
         data, mu0 = compute_column_stats(x), np.zeros(p)
         stacked = build_curve_ne(data, mu0, m, CFG).block_stats
         monkeypatch.setattr(core, "BLOCK_CHUNK_ELEMENTS", 1)
@@ -528,7 +524,7 @@ class TestStackedBlockSolves:
         block alone, on the Gram path (400, 86) and the low-rank one
         (20, 32).
         """
-        x = gen_srd_arma(200, p, SPEC_SRD, rng_for("alone", p))
+        x = generate(SPEC_SRD, 200, p, rng_for("alone", p))
         mu0 = np.zeros(p)
         runs = []
 
@@ -573,15 +569,21 @@ class TestStackedBlockSolves:
     @pytest.mark.parametrize("n,p,m,path,stacks", [
         (200, 400, 86, "gram", 12), (200, 20, 32, "lowrank", 2)])
     def test_debug_record_per_curve(self, caplog, n, p, m, path, stacks):
-        x = gen_srd_arma(n, p, SPEC_SRD, rng_for("curvelog", p))
-        caplog.set_level(logging.DEBUG, logger="pelhd.calibration")
+        # one record for the whole curve, on the core logger, whose counts
+        # are those of the blocks solved one at a time
+        x = generate(SPEC_SRD, n, p, rng_for("curvelog", p))
+        caplog.set_level(logging.DEBUG, logger="pelhd.core")
         curve = build_curve_ne(compute_column_stats(x), np.zeros(p), m, CFG)
-        iters = [solve_pel(compute_column_stats(x[i:i + m]), np.zeros(p),
-                           CFG).iterations for i in range(n - m + 1)]
-        assert caplog.messages[-1] == (
-            f"block curve: path={path} m={m} p={p} blocks={n - m + 1} "
+        records = caplog.messages
+        sols = [solve_pel(compute_column_stats(x[i:i + m]), np.zeros(p), CFG)
+                for i in range(n - m + 1)]
+        iters = [sol.iterations for sol in sols]
+        residual = max(sol.kkt_residual for sol in sols)
+        assert records == [
+            f"newton: path={path} n={m} p={p} problems={n - m + 1} "
             f"stacks={stacks} iterations={sum(iters)} "
-            f"max_iterations={max(iters)} failed={curve.n_failed}")
+            f"max_iterations={max(iters)} failed={curve.n_failed} "
+            f"max_residual={residual:.3e}"]
 
     def test_one_failed_block_among_many(self):
         """A single unsolved block becomes NaN and is left out of the curve.

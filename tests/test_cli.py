@@ -290,6 +290,23 @@ class TestExperimentCommand:
         assert not out.exists()
         assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
+    @pytest.mark.parametrize("line", [
+        "p = ", "p = 20, 20", "levels = 0.1, 0.1",
+        "m_rules = ergodic:1, ergodic:1",
+    ])
+    def test_empty_or_repeated_list_exits_2(self, tmp_path, capsys, line):
+        base = ["mode = level", "dependence = srd", "n = 40", "p = 16",
+                "n_replicates = 2", "seed = 3"]
+        key = line.split(" = ")[0]
+        cfg, out = tmp_path / "exp.ini", tmp_path / "res.csv"
+        cfg.write_text("\n".join(
+            [b for b in base if not b.startswith(f"{key} = ")] + [line, ""]))
+        assert run_cli("experiment", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_zero_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -372,6 +389,17 @@ class TestExitCodes:
 
     def test_help_exits_0(self):
         assert run_cli("--help") == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("stat", "--data", "{dir}"),
+        ("experiment", "--config", "{dir}"),
+        ("simulate", "--kind", "ne", "--n", "4", "--p", "3", "--seed", "1",
+         "--out", "{dir}"),
+    ], ids=lambda argv: argv[0])
+    def test_directory_path_exits_2(self, tmp_path, capsys, argv):
+        # an OSError other than a missing file is a usage error too
+        assert run_cli(*(a.format(dir=tmp_path) for a in argv)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_numeric_failures_exit_3(self, monkeypatch):
         import pelhd.cli as cli_mod

@@ -13,11 +13,10 @@ from pelhd.core import (
     _newton,
     _solve_blocks,
     compute_column_stats,
-    neg_log_pel_ratio,
     solve_pel,
 )
 from pelhd.errors import ConvergenceError, DimensionError, DomainError
-from pelhd.simulate import DependenceSpec, gen_srd_arma
+from pelhd.simulate import DependenceSpec, generate
 
 from conftest import rng_for
 from oracles import dense_newton, objective_direct, simplex_grid_minimum
@@ -94,7 +93,7 @@ def stress_table(start, stop):
         cfg = PelConfig(c_star=c_star, lam=lam)
         lam = cfg.penalty(*x.shape)
         ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
-        stat, iters, ok, res, pi, _, _ = _solve_blocks(
+        stat, iters, ok, res, pi = _solve_blocks(
             lambda lo, hi: ytil[None], 1, *x.shape, lam, cfg)
         grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
         floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
@@ -117,18 +116,16 @@ class TestColumnStats:
     def test_constant_column(self):
         dm = compute_column_stats([[1.0], [1.0], [1.0]])
         assert dm.col_mean[0] == 1.0
-        assert dm.col_var[0] == 0.0
         assert dm.delta[0] == 0.0
 
     def test_two_point_column(self):
         dm = compute_column_stats([[0.0], [2.0]])
         assert dm.col_mean[0] == 1.0
-        assert dm.col_var[0] == 1.0  # divisor n = 2
-        assert dm.delta[0] == 1.0
+        assert dm.delta[0] == 1.0  # variance 1 with divisor n = 2
 
     def test_divisor_n_variance(self):
         dm = compute_column_stats([[1.0], [2.0], [3.0], [4.0]])
-        assert dm.col_var[0] == pytest.approx(1.25, abs=0)
+        assert 1.0 / dm.delta[0] == pytest.approx(1.25, abs=0)
         assert dm.delta[0] == pytest.approx(0.8, abs=0)
 
     def test_single_row_rejected(self):
@@ -299,7 +296,6 @@ class TestSolvePel:
             n, p = x.shape
             const = np.all(x == x[0], axis=0)
             data = compute_column_stats(x)
-            assert np.all(data.col_var[const] == 0.0), k
             assert np.all(data.delta[const] == 0.0), k
             stat = solve_pel(data, mu, PelConfig(c_star=c_star)).stat
             if const.all():
@@ -325,7 +321,7 @@ class TestSolvePel:
 
 
 def srd_instance(key, n, p):
-    x = gen_srd_arma(n, p, DependenceSpec.short_range_arma(), rng_for(*key))
+    x = generate(DependenceSpec.short_range_arma(), n, p, rng_for(*key))
     return compute_column_stats(x), np.full(p, 0.1)
 
 
@@ -370,12 +366,14 @@ class TestStepPaths:
 
     @pytest.mark.parametrize("n,p,path", [(30, 4, "lowrank"), (4, 30, "gram")])
     def test_debug_record_names_the_path(self, caplog, n, p, path):
+        # a full-sample solve is a run of one problem in one stack
         data, mu = srd_instance(("paths", "log"), n, p)
         caplog.set_level(logging.DEBUG, logger="pelhd.core")
         sol = solve_pel(data, mu, PelConfig())
-        assert caplog.messages[-1] == (
-            f"solve_pel: path={path} n={n} p={p} "
-            f"iterations={sol.iterations} residual={sol.kkt_residual:.3e}")
+        assert caplog.messages == [
+            f"newton: path={path} n={n} p={p} problems=1 stacks=1 "
+            f"iterations={sol.iterations} max_iterations={sol.iterations} "
+            f"failed=0 max_residual={sol.kkt_residual:.3e}"]
 
 
 class TestStatisticProperties:
@@ -384,12 +382,12 @@ class TestStatisticProperties:
         cfg = PelConfig(c_star=1.0)
         for _ in range(15):
             dm, mu = random_instance(rng)
-            stat = neg_log_pel_ratio(dm, mu, cfg)
+            stat = solve_pel(dm, mu, cfg).stat
             assert stat >= 0.0
             if np.any(dm.delta > 0) and not np.allclose(
                     mu[dm.delta > 0], dm.col_mean[dm.delta > 0], atol=1e-12):
                 assert stat > 0.0
-            assert neg_log_pel_ratio(dm, dm.col_mean, cfg) < 1e-10
+            assert solve_pel(dm, dm.col_mean, cfg).stat < 1e-10
 
     def test_upper_bound_at_uniform_weights(self):
         rng = rng_for("props", 1)
@@ -398,7 +396,7 @@ class TestStatisticProperties:
             dm, mu = random_instance(rng)
             lam = cfg.penalty(dm.n, dm.p)
             bound = lam * np.dot(dm.delta, (dm.col_mean - mu) ** 2)
-            assert neg_log_pel_ratio(dm, mu, cfg) <= bound + 1e-12
+            assert solve_pel(dm, mu, cfg).stat <= bound + 1e-12
 
     def test_translation_invariance(self):
         rng = rng_for("props", 2)
@@ -406,8 +404,8 @@ class TestStatisticProperties:
         dm, mu = random_instance(rng, n=12, p=3)
         shift = rng.normal(size=3) * 5
         dm2 = compute_column_stats(dm.values + shift)
-        s1 = neg_log_pel_ratio(dm, mu, cfg)
-        s2 = neg_log_pel_ratio(dm2, mu + shift, cfg)
+        s1 = solve_pel(dm, mu, cfg).stat
+        s2 = solve_pel(dm2, mu + shift, cfg).stat
         assert abs(s1 - s2) < 1e-10
 
     def test_scale_invariance_including_sign_flips(self):
@@ -416,8 +414,8 @@ class TestStatisticProperties:
         dm, mu = random_instance(rng, n=12, p=3)
         scale = rng.uniform(0.2, 4.0, size=3) * rng.choice([-1.0, 1.0], size=3)
         dm2 = compute_column_stats(dm.values * scale)
-        s1 = neg_log_pel_ratio(dm, mu, cfg)
-        s2 = neg_log_pel_ratio(dm2, mu * scale, cfg)
+        s1 = solve_pel(dm, mu, cfg).stat
+        s2 = solve_pel(dm2, mu * scale, cfg).stat
         assert abs(s1 - s2) < 1e-10
 
     def test_column_permutation_invariance(self):
@@ -426,8 +424,8 @@ class TestStatisticProperties:
         dm, mu = random_instance(rng, n=15, p=4)
         perm = rng.permutation(4)
         dm2 = compute_column_stats(dm.values[:, perm])
-        s1 = neg_log_pel_ratio(dm, mu, cfg)
-        s2 = neg_log_pel_ratio(dm2, mu[perm], cfg)
+        s1 = solve_pel(dm, mu, cfg).stat
+        s2 = solve_pel(dm2, mu[perm], cfg).stat
         assert abs(s1 - s2) < 1e-10
 
     def test_quadratic_form_tracking(self):
@@ -439,8 +437,6 @@ class TestStatisticProperties:
         n = 200, p = 20 must be below 0.1.
         """
         import scipy.linalg
-
-        from pelhd.simulate import DependenceSpec, gen_srd_arma
 
         from oracles import arma_autocorrelation, arma_autocovariance
 
@@ -454,9 +450,9 @@ class TestStatisticProperties:
         eye_term = np.eye(p) + 2 * gam * corr
         gaps = []
         for rep in range(200):
-            x = gen_srd_arma(n, p, spec, rng_for("quadform", rep))
+            x = generate(spec, n, p, rng_for("quadform", rep))
             dm = compute_column_stats(x)
-            kn = neg_log_pel_ratio(dm, np.zeros(p), cfg)
+            kn = solve_pel(dm, np.zeros(p), cfg).stat
             ybar = x.mean(axis=0) / math.sqrt(gamma0)
             proxy = n * gam * ybar @ np.linalg.solve(eye_term, ybar)
             gaps.append(abs(kn - proxy))

@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 import pelhd
 from pelhd.cli import cli_main
-from pelhd.core import PelConfig, compute_column_stats, neg_log_pel_ratio
+from pelhd.core import PelConfig, compute_column_stats, solve_pel
 from pelhd.errors import ConfigError, ConvergenceError, DegenerateDataError
 from pelhd import experiments
 from pelhd.experiments import (
@@ -24,7 +24,7 @@ from pelhd.experiments import (
     run_experiment,
 )
 from pelhd.calibration import estimate_kappa_sq_plugin
-from pelhd.simulate import DependenceSpec, gen_srd_arma
+from pelhd.simulate import DependenceSpec, generate
 
 from conftest import rng_for
 from oracles import arma_autocorrelation
@@ -65,6 +65,15 @@ class TestConfigValidation:
                           m_rules=(("ne-sqrt", c0),))
         with pytest.raises(ConfigError):
             small_cfg(n_replicates=0)
+
+    def test_repeated_levels_or_m_rules_rejected(self):
+        # a repeated entry would repeat its result rows
+        with pytest.raises(ConfigError, match="levels"):
+            small_cfg(levels=(0.05, 0.1, 0.05))
+        with pytest.raises(ConfigError, match="m_rules"):
+            small_cfg(m_rules=(("ergodic", 1.0), ("ergodic", 1.0)))
+        small_cfg(levels=(0.05, 0.1), m_rules=(("ergodic", 1.0),
+                                               ("ergodic", 2.0)))
 
     def test_negative_seed_rejected(self):
         # numpy's seeding takes only integers >= 0; the CLI's --seed
@@ -199,6 +208,14 @@ class TestFlatConfigParsing:
         mixed = load_experiment_configs(f"{text}\n{foreign}")[0]
         assert mixed == plain
         assert mixed.config_hash() == plain.config_hash()
+
+    @pytest.mark.parametrize("value", ["", "20, 20", "16, 20, 16"])
+    def test_p_lists_distinct_values(self, value):
+        # an empty list would run no cell, a repeated p its rows twice
+        with pytest.raises(ConfigError, match="'p'"):
+            load_experiment_configs(
+                "mode=level\ndependence=srd\nn=50\nn_replicates=5\nseed=1\n"
+                f"p={value}")
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
@@ -362,9 +379,9 @@ class TestCalibrationCompare:
         est = exact = 0
         reps = 500
         for rep in range(reps):
-            x = gen_srd_arma(n, p, SRD, rng_for("gsens", rep))
+            x = generate(SRD, n, p, rng_for("gsens", rep))
             dm = compute_column_stats(x)
-            z = math.sqrt(p) * (neg_log_pel_ratio(dm, np.zeros(p), cfg) - 1.0)
+            z = math.sqrt(p) * (solve_pel(dm, np.zeros(p), cfg).stat - 1.0)
             est += z > math.sqrt(estimate_kappa_sq_plugin(dm, 1.0)) * z90
             exact += z > kappa_exact * z90
         assert abs(est - exact) / reps <= 0.05

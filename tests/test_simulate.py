@@ -15,9 +15,6 @@ from pelhd.errors import (
 from pelhd.simulate import (
     DependenceSpec,
     _format_matrix_csv,
-    gen_lrd,
-    gen_non_ergodic,
-    gen_srd_arma,
     generate,
     lrd_correlation,
     ne_correlation,
@@ -28,25 +25,26 @@ from conftest import rng_for
 from oracles import arma_autocovariance, lrd_rho, ne_basis_covariance
 
 E1 = math.e + 1.0
+NE = DependenceSpec.non_ergodic()
 
 
 class TestNonErgodic:
     def test_single_point_variance(self):
         # at t = 1 all sine terms vanish and all cosine terms equal 1/sqrt(2),
         # so the draw is N(0, (e+1)^2 (1 + 15/2))
-        x = gen_non_ergodic(100_000, 1, rng_for("ne", 0))
+        x = generate(NE, 100_000, 1, rng_for("ne", 0))
         target = E1**2 * (1 + 15 / 2)
         assert x.var() == pytest.approx(target, rel=0.02)
 
     def test_rows_iid(self):
-        x = gen_non_ergodic(4000, 3, rng_for("ne", 1))
+        x = generate(NE, 4000, 3, rng_for("ne", 1))
         for j in range(3):
             stat = ks_2samp(x[:2000, j], x[2000:, j])
             assert stat.pvalue > 0.01
 
     def test_covariance_matches_basis_expansion(self):
         p = 6
-        x = gen_non_ergodic(100_000, p, rng_for("ne", 2))
+        x = generate(NE, 100_000, p, rng_for("ne", 2))
         emp = np.cov(x, rowvar=False, bias=True)
         expect = ne_basis_covariance(np.arange(1, p + 1) / p)
         scale = E1**2 * (1 + 15 / 2)  # common variance of every coordinate
@@ -57,7 +55,7 @@ class TestNonErgodic:
         np.testing.assert_allclose(np.diag(expect), E1**2 * 8.5, rtol=1e-12)
 
     def test_row_permutation_keeps_column_law(self):
-        x = gen_non_ergodic(500, 4, rng_for("ne", 4))
+        x = generate(NE, 500, 4, rng_for("ne", 4))
         shuffled = x[rng_for("ne", 5).permutation(500)]
         np.testing.assert_array_equal(
             np.sort(x, axis=0), np.sort(shuffled, axis=0))
@@ -90,6 +88,19 @@ class TestLrdCorrelation:
         assert lrd_correlation(32, 0.4) is u
         assert not u.flags.writeable
 
+    def test_cache_holds_the_lrd_level_configs(self):
+        # the two LRD level configs at p = 20, 100 and 400, cycled as a
+        # Monte Carlo run over them cycles: the second pass only hits
+        pairs = [(p, alpha) for alpha in (0.1, 0.8) for p in (20, 100, 400)]
+        lrd_correlation.cache_clear()
+        try:
+            for _ in range(2):
+                for p, alpha in pairs:
+                    lrd_correlation(p, alpha)
+            assert lrd_correlation.cache_info().hits == 6
+        finally:
+            lrd_correlation.cache_clear()
+
     def test_cholesky_reconstructs(self):
         u = lrd_correlation(80, 0.5)
         r = scipy.linalg.toeplitz(lrd_rho(0.5, 79))
@@ -106,7 +117,8 @@ class TestLrdCorrelation:
             scipy.linalg.toeplitz(lrd_rho(alpha, p - 1)), lower=False)
         np.testing.assert_array_equal(lrd_correlation(p, alpha), expect)
         z = np.random.default_rng(5).standard_normal((50, p))
-        np.testing.assert_array_equal(gen_lrd(50, p, alpha, 5), z @ expect)
+        np.testing.assert_array_equal(
+            generate(DependenceSpec.long_range(alpha), 50, p, 5), z @ expect)
 
     def test_power_law_decay(self):
         alpha = 0.8
@@ -159,19 +171,20 @@ class TestLrdCholeskyFailure:
 
 class TestGenLrd:
     def test_lag_one_correlation(self):
-        x = gen_lrd(10_000, 50, 0.8, rng_for("lrd", 0))
+        x = generate(DependenceSpec.long_range(0.8), 10_000, 50, rng_for("lrd", 0))
         xc = x - x.mean(axis=0)
         num = np.mean(xc[:, :-1] * xc[:, 1:])
         corr = num / x.var()
         assert corr == pytest.approx(0.5 * (2**1.2 - 2), abs=0.03)
 
     def test_unit_marginals(self):
-        x = gen_lrd(10_000, 50, 0.8, rng_for("lrd", 1))
+        x = generate(DependenceSpec.long_range(0.8), 10_000, 50, rng_for("lrd", 1))
         assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
         assert np.all(np.abs(x.mean(axis=0)) < 4 / math.sqrt(10_000))
 
     def test_near_iid_limit(self):
-        x = gen_lrd(10_000, 12, 1.0 - 1e-9, rng_for("lrd", 2))
+        x = generate(DependenceSpec.long_range(1.0 - 1e-9), 10_000, 12,
+                     rng_for("lrd", 2))
         emp = np.corrcoef(x, rowvar=False)
         np.fill_diagonal(emp, 0.0)
         assert np.max(np.abs(emp)) < 0.05
@@ -180,7 +193,7 @@ class TestGenLrd:
         # entrywise 3/sqrt(n) is a ~2 sigma band per entry, so the seed is
         # fixed at a representative draw rather than maxed over reruns
         n, p, alpha = 10_000, 8, 0.4
-        x = gen_lrd(n, p, alpha, rng_for("lrd", 101))
+        x = generate(DependenceSpec.long_range(alpha), n, p, rng_for("lrd", 101))
         emp = np.cov(x, rowvar=False, bias=True)
         expect = scipy.linalg.toeplitz(lrd_rho(alpha, p - 1))
         assert np.max(np.abs(emp - expect)) < 3 / math.sqrt(n)
@@ -189,7 +202,7 @@ class TestGenLrd:
 class TestGenSrdArma:
     def test_acf_matches_recursion_oracle(self):
         spec = DependenceSpec.short_range_arma()
-        x = gen_srd_arma(10_000, 40, spec, rng_for("srd", 0))
+        x = generate(spec, 10_000, 40, rng_for("srd", 0))
         gamma = arma_autocovariance(spec.ar, spec.ma, 6)
         xc = x - x.mean(axis=0)
         emp_var = x.var()
@@ -209,7 +222,7 @@ class TestGenSrdArma:
     ])
     def test_matches_scipy_lfilter(self, ar, ma, n, p, burn_in):
         spec = DependenceSpec.short_range_arma(ar=ar, ma=ma, burn_in=burn_in)
-        x = gen_srd_arma(n, p, spec, 11)
+        x = generate(spec, n, p, 11)
         eps = np.random.default_rng(11).standard_normal((n, burn_in + p))
         expect = scipy.signal.lfilter(
             [1.0, *ma], [1.0, -ar[0], -ar[1]], eps, axis=1)[:, burn_in:]
@@ -218,7 +231,7 @@ class TestGenSrdArma:
 
     def test_correlations_die_out(self):
         spec = DependenceSpec.short_range_arma()
-        x = gen_srd_arma(10_000, 40, spec, rng_for("srd", 1))
+        x = generate(spec, 10_000, 40, rng_for("srd", 1))
         xc = x - x.mean(axis=0)
         for k in range(10, 15):
             emp = np.mean(xc[:, :-k] * xc[:, k:]) / x.var()
@@ -226,7 +239,7 @@ class TestGenSrdArma:
 
     def test_zero_coefficients_give_white_noise(self):
         spec = DependenceSpec.short_range_arma(ar=(0.0, 0.0), ma=(0.0, 0.0, 0.0))
-        x = gen_srd_arma(20_000, 10, spec, rng_for("srd", 2))
+        x = generate(spec, 20_000, 10, rng_for("srd", 2))
         assert x.var() == pytest.approx(1.0, rel=0.03)
         emp = np.corrcoef(x, rowvar=False)
         np.fill_diagonal(emp, 0.0)
@@ -260,7 +273,7 @@ class TestGenSrdArma:
 
     def test_column_means_near_zero(self):
         spec = DependenceSpec.short_range_arma()
-        x = gen_srd_arma(10_000, 20, spec, rng_for("srd", 3))
+        x = generate(spec, 10_000, 20, rng_for("srd", 3))
         assert np.all(np.abs(x.mean(axis=0)) < 4 * math.sqrt(x.var()) / 100)
 
 
