@@ -107,14 +107,17 @@ def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,
     return int(round(min(max(m, 2.0), n - 1)))
 
 
-def _block_ytil(windows, mu0):
+def _block_ytil(windows, centred, out):
     """Ytil = (X - mu0) sqrt(delta) of a (B, m, p) stack of blocks, each
     with its own column stats (the two-pass formula of
-    compute_column_stats)."""
-    _, _, delta = _moments(windows)
-    ytil = windows - mu0
-    ytil *= np.sqrt(delta)[:, None, :]
-    return ytil
+    compute_column_stats).
+
+    ``windows`` are the blocks of X and ``centred`` the same blocks of
+    X - mu0.  ``out``, of their shape, is scratch for the centred squares
+    of the moments and then holds Ytil, which is returned.
+    """
+    _, _, delta = _moments(windows, out=out)
+    return np.multiply(centred, np.sqrt(delta)[:, None, :], out=out)
 
 
 def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
@@ -124,9 +127,11 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     serves ``solve_pel``; it cuts them into Newton stacks under the element
     budget ``core.BLOCK_CHUNK_ELEMENTS``, asks ``_block_ytil`` for the
     standardized data of a slice of blocks at a time, and logs the curve's
-    one DEBUG record on the ``pelhd.core`` logger.  Failed block solves
-    are recorded as NaN, each with a WARNING; NumericError above the 1%
-    tolerance (isolated failures must not silently bias the quantiles).
+    one DEBUG record on the ``pelhd.core`` logger.  X - mu0 is formed once
+    for the curve, and every slice is standardized in one scratch buffer.
+    Failed block solves are recorded as NaN, each with a WARNING;
+    NumericError above the 1% tolerance (isolated failures must not
+    silently bias the quantiles).
 
     Returns (stats, failed): one statistic per block, block i starting at
     row i, and the number of failed blocks.
@@ -135,11 +140,20 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     if not 1 < m < n:
         raise DomainError(f"need 1 < m < n, got m={m}, n={n}")
     mu0 = _checked_mu(mu0, p)
-    windows = sliding_window_view(data.values, m, axis=0).transpose(0, 2, 1)
+    windows, centred = (
+        sliding_window_view(x, m, axis=0).transpose(0, 2, 1)
+        for x in (data.values, data.values - mu0))
     n_blocks = len(windows)
+    buf = np.empty((0, m, p))
+
+    def ytil_of(lo, hi):
+        nonlocal buf
+        if len(buf) < hi - lo:
+            buf = np.empty((hi - lo, m, p))
+        return _block_ytil(windows[lo:hi], centred[lo:hi], buf[:hi - lo])
+
     stats, iters, ok, res, _ = _solve_blocks(
-        lambda lo, hi: _block_ytil(windows[lo:hi], mu0), n_blocks, m, p,
-        cfg.c_star * m / p, cfg)
+        ytil_of, n_blocks, m, p, cfg.c_star * m / p, cfg)
     failed = np.flatnonzero(~ok)
     for b in failed:
         logger.warning("block %d/%d failed: residual %.3e after %d iterations",

@@ -21,15 +21,18 @@ problems' n x p data are standardized at once, so that a curve's linear
 systems and data take a few MB at any n.  With G = 2 lambda Ytil Ytil'
 the penalty equals pi'G pi / 2 and the Hessian is diag(1/pi^2) + G.  The
 shape picks the one matrix stack a path holds, and with it how G v and a
-Newton step are computed, and nothing else: for n <= LOWRANK_RATIO p the
-stack is the n x n matrices G themselves, and each iteration solves the
-bordered (n+1)-dimensional KKT systems built from them; above that G, of
-rank at most p, is never formed, the stack is the n x p factors
-sqrt(2 lambda) Ytil, and a step goes through a p x p capacitance matrix in
-O(n p^2) time.  Memory therefore grows with n min(n, p).  Once the squared
-Newton decrement -g'd is below 1/16 the step is in the pure-Newton phase of
-this self-concordant objective and is taken in full, so convergence does
-not hinge on comparing objective values that differ by less than their
+Newton step are computed, and nothing else: for n <= LOWRANK_RATIO p a
+problem holds one matrix, its bordered (n+1)-dimensional KKT matrix with G
+in the top-left block (plus a row for G's diagonal), and each iteration
+writes diag(G) + 1/pi^2 onto that block, solves, and writes G's diagonal
+back, so no matrix is copied per iteration and a stack holds
+BLOCK_CHUNK_ELEMENTS // (n+1)^2 problems; above that G, of rank at most p,
+is never formed, the stack is the n x p factors sqrt(2 lambda) Ytil, and a
+step goes through a p x p capacitance matrix in O(n p^2) time.  Memory
+therefore grows with n min(n, p).  Once the squared Newton decrement -g'd
+is below 1/16 the step is in the pure-Newton phase of this
+self-concordant objective and is taken in full, so convergence does not
+hinge on comparing objective values that differ by less than their
 rounding; larger steps backtrack to an Armijo decrease.  A problem leaves
 the stack once its KKT residual is below ``newton_tol``; one that Newton
 leaves unconverged is reported as such.  The builder logs one DEBUG
@@ -63,12 +66,16 @@ ARMIJO = 1e-4
 # faster, at m = 1.2 p 10% slower.
 LOWRANK_RATIO = 1.35
 # Element budget of the problems ``_solve_blocks`` holds together, bounding
-# two counts: a Newton stack of the Gram path, 2 (n+1)^2 a problem (its Gram
-# and KKT matrices), and a slice of problems whose n x p Ytil is formed at
-# once, (n+1)(n+1+p) a problem (the low-rank path's stack is one slice).  It
-# is the (n+1)^2 scale of one full-sample KKT matrix at n = 200, times 4,
-# and does not grow with the sample size, so a calibration curve's working
-# memory stays a few MB however many blocks it has.
+# two counts: a Newton stack of the Gram path, (n+1)^2 a problem (its one
+# bordered KKT matrix, whose G block is the Gram matrix; the extra row for
+# G's diagonal is not counted), and a slice of problems whose n x p Ytil is
+# formed at once, (n+1)(n+1+p) a problem (the low-rank path's stack is one
+# slice).  At m = 86 a Gram stack holds 21 blocks, and the three curves
+# (m = 22, 43, 86) of an n = 200, p = 400 SRD level replicate take 9
+# stacks.  It is the (n+1)^2 scale of one full-sample KKT matrix at
+# n = 200, times 4, and does not grow with the sample size, so a
+# calibration curve's working memory stays a few MB however many blocks it
+# has.
 BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 __all__ = [
@@ -146,14 +153,17 @@ class PelSolution:
     kkt_residual: float
 
 
-def _moments(x):
+def _moments(x, out=None):
     """Means, divisor-n variances and delta weights of the columns of ``x``.
 
     Works on the last two axes, so one (..., n, p) call serves a single
-    data matrix or a stack of blocks with the same two-pass formula.
+    data matrix or a stack of blocks with the same two-pass formula.  The
+    centred squares are written into ``out``, an array of x's shape, when
+    it is given.
     """
     mean = x.mean(axis=-2)
-    var = np.mean((x - mean[..., None, :]) ** 2, axis=-2)
+    sq = np.subtract(x, mean[..., None, :], out=out)
+    var = np.square(sq, out=sq).mean(axis=-2)
     # A constant column whose mean does not round back to the constant
     # keeps a variance of rounding size, below (2 n eps mean)^2, and so a
     # huge delta.  Only columns that small are checked for equal entries.
@@ -234,36 +244,49 @@ def _kkt_solve(kkt, rhs):
 
 
 class _GramStep:
-    """Newton steps from ``mat``, the n x n matrices
-    G_b = 2 lambda Ytil_b Ytil_b'.
+    """Newton steps from ``mat``, a (B, n+2, n+1) stack holding each
+    problem's one matrix: the bordered KKT matrix [[G_b, 1], [1', 0]] of
+    G_b = 2 lambda Ytil_b Ytil_b' in its first n+1 rows, and the diagonal
+    of G_b in its last row.
 
-    Each step solves the bordered (n+1)-dimensional KKT systems of the
-    active rows in one batched call: O(n^3) time and O(n^2) memory per
-    problem, the right size when n is not much above p.
+    G v reads the top-left n x n block in place.  A step writes
+    diag(G_b) + 1/x^2 onto that block's diagonal, solves the bordered
+    KKT systems of the active rows in one batched call, and writes the
+    kept diagonal back, so no matrix is copied per iteration and dropping
+    rows of ``mat`` drops each matrix with its diagonal.  O(n^3) time and
+    O(n^2) memory per problem, the right size when n is not much above p.
     """
 
     name = "gram"
 
-    def __init__(self, gram, lam):
-        # ``gram`` (B, n, n) holds Ytil_b Ytil_b' and is scaled in place
-        n_rows, n, _ = gram.shape
+    def __init__(self, mat, lam):
+        # ``mat`` holds Ytil_b Ytil_b' in mat[:, :n, :n]; it is scaled and
+        # bordered in place
+        self.n = n = mat.shape[2] - 1
+        gram = mat[:, :n, :n]
         gram *= 2.0 * lam
-        self.mat = gram
-        self.kkt = np.zeros((n_rows, n + 1, n + 1))
-        self.kkt[:, :n, n] = 1.0
-        self.kkt[:, n, :n] = 1.0
-        self.rhs = np.zeros((n_rows, n + 1, 1))
+        self.penalized = gram.any(axis=(1, 2))
+        mat[:, :n, n] = 1.0
+        mat[:, n:] = 0.0
+        mat[:, n, :n] = 1.0
+        mat[:, n + 1, :n] = np.diagonal(gram, axis1=1, axis2=2)
+        self.mat = mat
+        self.rhs = np.zeros((len(mat), n + 1, 1))
 
     def matvec(self, v):
-        return _matvec(self.mat, v)
+        n = self.n
+        return _matvec(self.mat[:, :n, :n], v)
 
     def step(self, x, grad):
         b, n = x.shape
-        kkt = self.kkt[:b]
-        kkt[:, :n, :n] = self.mat
-        kkt.reshape(b, -1)[:, : n * (n + 2): n + 2] += x ** -2
+        gdiag = self.mat[:, n + 1, :n]
+        # mat is C-contiguous (boolean indexing copies), so this is a view
+        diag = self.mat.reshape(b, -1)[:, : n * (n + 2): n + 2]
+        np.add(gdiag, x ** -2, out=diag)
         self.rhs[:b, :n, 0] = -grad
-        return _kkt_solve(kkt, self.rhs[:b])[:, :n, 0]
+        d = _kkt_solve(self.mat[:, :n + 1], self.rhs[:b])[:, :n, 0]
+        diag[...] = gdiag
+        return d
 
 
 class _LowRankStep:
@@ -293,7 +316,9 @@ class _LowRankStep:
     name = "lowrank"
 
     def __init__(self, ytil, lam):
+        self.n = ytil.shape[1]
         self.mat = np.sqrt(2.0 * lam) * ytil
+        self.penalized = self.mat.any(axis=(1, 2))
 
     def matvec(self, v):
         return _matvec(self.mat, _matvec(self.mat.transpose(0, 2, 1), v))
@@ -363,12 +388,13 @@ def _newton(lin, cfg: PelConfig):
     """Feasible-start Newton on a stack of B same-shape problems: the one
     function from a stack to its statistics.
 
-    ``lin`` (a _GramStep or a _LowRankStep) holds in ``lin.mat`` a (B, n, k)
-    stack that defines the matrices G_b = 2 lambda Ytil_b Ytil_b', so that
-    row b minimizes -sum log(n pi) + pi'G_b pi / 2, whose Hessian is
+    ``lin`` (a _GramStep or a _LowRankStep) holds in ``lin.mat`` a stack
+    of B arrays that define the matrices G_b = 2 lambda Ytil_b Ytil_b', so
+    that row b minimizes -sum log(n pi) + pi'G_b pi / 2, whose Hessian is
     diag(1/pi^2) + G_b; it computes only the products G v (``matvec``) and
-    the Newton steps (``step``).  This loop reads the stack's shape and
-    zero-penalty rows from ``mat`` and drops the rows that leave it.
+    the Newton steps (``step``), and gives the problems' size ``n`` and,
+    as built, which G_b are nonzero (``penalized``).  This loop drops the
+    rows that leave the stack from ``mat``, in one indexing operation.
     Every row starts at the uniform weights 1/n.  Both kinds share this
     loop, its step rule and its stopping rule; each iteration takes the
     Newton steps of the rows still active in one batched call.  A row
@@ -383,10 +409,8 @@ def _newton(lin, cfg: PelConfig):
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
     is not a statistic.
     """
-    n_rows, n = lin.mat.shape[:2]
+    n_rows, n = len(lin.mat), lin.n
     max_iters = cfg.max_newton_iters
-    # read before rows leave the stack
-    penalized = lin.mat.any(axis=(1, 2))
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
     residual = np.full(n_rows, np.inf)
@@ -430,7 +454,7 @@ def _newton(lin, cfg: PelConfig):
         x = x + t[:, None] * d
         x /= x.sum(axis=1, keepdims=True)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
-    stat[~penalized] = 0.0
+    stat[~lin.penalized] = 0.0
     return pi, stat, iterations, converged, residual
 
 
@@ -440,11 +464,14 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
 
     ``ytil_of(lo, hi)`` returns the (hi - lo, n, p) stack of
     Ytil_b = (X_b - mu) sqrt(delta_b) of problems lo..hi-1, and ``lam`` is
-    their penalty factor.  BLOCK_CHUNK_ELEMENTS sizes the stacks and the
-    ``ytil_of`` slices.  On the low-rank path Newton holds the factors
-    themselves, so a stack is one slice; on the Gram path a stack's Gram
-    matrices are filled slice by slice, and each slice's Ytil is dropped
-    once they are written.
+    their penalty factor; the stack need only stay valid until the next
+    call.  BLOCK_CHUNK_ELEMENTS sizes the stacks and the ``ytil_of``
+    slices.  On the low-rank path Newton holds the factors themselves, so
+    a stack is one slice.  On the Gram path a problem holds one
+    (n+2) x (n+1) matrix, its bordered KKT matrix and G's diagonal (see
+    _GramStep); slice by slice, Ytil Ytil' is written straight into the
+    top-left n x n blocks, and each slice's Ytil is dropped once they are
+    written.
 
     Logs one DEBUG record for the whole run: the path, n, p, the number
     of problems and of stacks, the total and the largest iteration count,
@@ -460,7 +487,7 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     kind = _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
     per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((n + 1) * (n + 1 + p)))
     per_stack = (per_slice if kind is _LowRankStep
-                 else max(1, BLOCK_CHUNK_ELEMENTS // (2 * (n + 1) ** 2)))
+                 else max(1, BLOCK_CHUNK_ELEMENTS // (n + 1) ** 2))
     out = (np.empty(n_blocks), np.empty(n_blocks, dtype=int),
            np.empty(n_blocks, dtype=bool), np.empty(n_blocks))
     for lo in range(0, n_blocks, per_stack):
@@ -468,12 +495,12 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
         if kind is _LowRankStep:
             lin = _LowRankStep(ytil_of(lo, hi), lam)
         else:
-            gram = np.empty((hi - lo, n, n))
+            kkt = np.empty((hi - lo, n + 2, n + 1))
             for s in range(lo, hi, per_slice):
                 ytil = ytil_of(s, min(s + per_slice, hi))
                 np.matmul(ytil, ytil.transpose(0, 2, 1),
-                          out=gram[s - lo:s - lo + len(ytil)])
-            lin = _GramStep(gram, lam)
+                          out=kkt[s - lo:s - lo + len(ytil), :n, :n])
+            lin = _GramStep(kkt, lam)
         pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part

@@ -316,9 +316,18 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def _listed(parse):
-    """The parser of a comma-separated list whose items ``parse`` reads."""
+    """The parser of a comma-separated list whose items ``parse`` reads.
+
+    A wholly empty value is the empty list; a blank item, as in ``1,,2``
+    or ``1,``, is a ValueError.
+    """
     def comma_list(value: str) -> tuple:
-        return tuple(parse(v) for v in value.split(",") if v.strip())
+        if not value.strip():
+            return ()
+        items = value.split(",")
+        if not all(v.strip() for v in items):
+            raise ValueError(f"blank item in list {value!r}")
+        return tuple(parse(v) for v in items)
     return comma_list
 
 

@@ -157,8 +157,8 @@ class TestCurves:
         assert peak < 12 * 8 * BLOCK_CHUNK_ELEMENTS
 
     def test_memory_does_not_grow_with_n_gram_path(self):
-        # p >> m = 93: the Gram path, whose Newton stacks hold Gram and KKT
-        # matrices but no m x p Ytil
+        # p >> m = 93: the Gram path, whose Newton stacks hold one bordered
+        # KKT matrix a block but no m x p Ytil
         n, p = 2000, 400
         dm = compute_column_stats(
             generate(SPEC_SRD, n, p, rng_for("curve", "memory", p)))
@@ -542,9 +542,10 @@ class TestStackedBlockSolves:
     def test_one_failed_block_in_a_gram_stack(self, monkeypatch):
         """The Gram-path twin of test_one_failed_block_among_many.
 
-        p >= m, and a budget of 9680 = 40 * 2 (m+1)^2 makes Newton stacks
-        of 40 blocks, each filled from slices of 17: the last stack holds
-        blocks 80-100, and the failing block 100 sits in its second slice.
+        p >= m, and a budget of 9680 = 80 (m+1)^2 makes Newton stacks of
+        80 blocks, each filled from slices of 17 = 9680 // ((m+1)(m+1+p)):
+        the last stack holds blocks 80-100, and the failing block 100 sits
+        in its second slice, 97-100.
         """
         n, m, p = 110, 10, 40
         monkeypatch.setattr(core, "BLOCK_CHUNK_ELEMENTS", 9680)
@@ -567,7 +568,7 @@ class TestStackedBlockSolves:
                 curve.block_stats[i], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("n,p,m,path,stacks", [
-        (200, 400, 86, "gram", 12), (200, 20, 32, "lowrank", 2)])
+        (200, 400, 86, "gram", 6), (200, 20, 32, "lowrank", 2)])
     def test_debug_record_per_curve(self, caplog, n, p, m, path, stacks):
         # one record for the whole curve, on the core logger, whose counts
         # are those of the blocks solved one at a time

@@ -80,6 +80,15 @@ class TestSimulateCommand:
                        "--out", str(out)) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--ma", "0.3,,0.1"),
+                                            ("--ar", "0.5,")])
+    def test_blank_list_item_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--kind", "srd", flag, value,
+                       "--n", "4", "--p", "3", "--seed", "1",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli("simulate", "--kind", "ne", "--n", "4", "--p", "3",
@@ -292,7 +301,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("line", [
         "p = ", "p = 20, 20", "levels = 0.1, 0.1",
-        "m_rules = ergodic:1, ergodic:1",
+        "m_rules = ergodic:1, ergodic:1", "levels = 0.05,,0.1",
     ])
     def test_empty_or_repeated_list_exits_2(self, tmp_path, capsys, line):
         base = ["mode = level", "dependence = srd", "n = 40", "p = 16",

@@ -8,6 +8,7 @@ import pytest
 from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
+    _GramStep,
     _LowRankStep,
     _kkt_solve,
     _newton,
@@ -326,7 +327,8 @@ def srd_instance(key, n, p):
 
 
 class TestStepPaths:
-    """The n x p low-rank Newton step against a dense reference."""
+    """The two Newton step paths: the n x p low-rank step against a dense
+    reference, and the Gram step's one bordered matrix a problem."""
 
     @pytest.mark.parametrize("n,p", [(30, 4), (200, 20), (300, 7), (400, 100)])
     def test_full_sample_matches_dense_reference(self, n, p):
@@ -363,6 +365,33 @@ class TestStepPaths:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * n * p
+
+    def test_gram_step_and_retirement_keep_g(self):
+        """A step writes diag(G) + 1/x^2 onto each matrix and must write G's
+        diagonal back; retiring a row, as _newton does, must drop its
+        matrix and its diagonal together."""
+        b, n, p = 4, 6, 9
+        rng = rng_for("gramstep", 0)
+        ytil = rng.normal(size=(b, n, p))
+        x = rng.uniform(0.5, 1.5, size=(b, n))
+        x /= x.sum(axis=1, keepdims=True)
+        grad, v = rng.normal(size=(2, b, n))
+        keep = np.array([True, False, True, True])
+
+        def gram_step(y):
+            mat = np.empty((len(y), n + 2, n + 1))
+            np.matmul(y, y.transpose(0, 2, 1), out=mat[:, :n, :n])
+            return _GramStep(mat, 2.0)
+
+        lin = gram_step(ytil)
+        gram, before = lin.mat[:, :n, :n].copy(), lin.matvec(v)
+        lin.step(x, grad)
+        lin.mat = lin.mat[keep]
+        assert np.array_equal(lin.mat[:, :n, :n], gram[keep])
+        assert np.array_equal(lin.matvec(v[keep]), before[keep])
+        # the next step is that of a stack built from the kept rows alone
+        assert np.array_equal(lin.step(x[keep], grad[keep]),
+                              gram_step(ytil[keep]).step(x[keep], grad[keep]))
 
     @pytest.mark.parametrize("n,p,path", [(30, 4, "lowrank"), (4, 30, "gram")])
     def test_debug_record_names_the_path(self, caplog, n, p, path):

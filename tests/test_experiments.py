@@ -209,6 +209,17 @@ class TestFlatConfigParsing:
         assert mixed == plain
         assert mixed.config_hash() == plain.config_hash()
 
+    @pytest.mark.parametrize("key,value", [
+        ("ma", "0.3,,0.1"), ("levels", "0.05,,0.1"), ("ar", "0.5,"),
+        ("p", "16, ,20"), ("m_rules", ",ergodic:1"),
+    ])
+    def test_blank_list_items_rejected(self, key, value):
+        # a doubled or trailing comma must not change the model or the levels
+        with pytest.raises(ConfigError, match=f"line 2: .*'{key}'"):
+            parse_flat_config(f"mode = level\n{key} = {value}")
+        # a wholly empty value is still the empty list
+        assert parse_flat_config(f"{key} =") == {key: ()}
+
     @pytest.mark.parametrize("value", ["", "20, 20", "16, 20, 16"])
     def test_p_lists_distinct_values(self, value):
         # an empty list would run no cell, a repeated p its rows twice
