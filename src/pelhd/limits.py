@@ -16,18 +16,20 @@ The limit depends on the correlation-decay exponent alpha:
   R0 as (c*/q) sum_k w_k G_k^2 with G ~ N(0, I) (``sample_ne_limit``).
 
 Both samplers cost what their draws need: O(q) per non-ergodic draw after
-one eigendecomposition, and about half a dense p x p product per LRD draw,
-since the Cholesky factor of the surrogate is triangular.
+one eigendecomposition, and one real FFT of length 2p per LRD draw, since
+the surrogate's sum of squares is a Toeplitz quadratic form in N(0, I_p)
+normals; no p x p matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .simulate import lrd_correlation
+from .simulate import _lrd_rho
 
 __all__ = [
     "kappa_squared",
@@ -42,11 +44,23 @@ def kappa_squared(rho, c_star: float) -> float:
     return float(2.0 * c_star**2 * np.sum(rho**2))
 
 
-# columns of the LRD Cholesky factor per product in sample_lrd_limit: at
-# p=2048 with 976 rows on one BLAS thread the panel products took 116-141 ms
-# at width 256 against 174-214 ms for the dense product; of the widths
-# 128-1024 tried, 256 was the fastest in each of three runs
-_LRD_PANEL = 256
+# elements of the normals drawn per batch in sample_lrd_limit; the FFT adds
+# a zero-padded copy and a complex output of twice that.  At p=2048 and 1000
+# draws one call peaks at 20.0 MB under tracemalloc; 2 000 000 raised the
+# limit_draws benchmark's peak RSS from 139.7 to 156.8 MB
+_LRD_BATCH_ELEMENTS = 500_000
+
+
+def _count(value, name: str, least: int) -> int:
+    """value as an int >= least; DimensionError for a non-integer or less."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DimensionError(
+            f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DimensionError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
@@ -72,8 +86,7 @@ def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
     q = r.shape[0]
     if q < 1:
         raise DimensionError("rho0_grid must not be empty")
-    if n_draws < 1:
-        raise DimensionError(f"n_draws must be >= 1, got {n_draws}")
+    n_draws = _count(n_draws, "n_draws", 1)
     if not np.allclose(r, r.T, atol=1e-10):
         raise DomainError("rho0_grid must be symmetric")
     if not np.allclose(np.diag(r), 1.0, atol=1e-8):
@@ -104,30 +117,41 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     Each draw is c* p^(alpha-1) sum_{j=1}^p (Z_j^2 - 1) with Z a stationary
     Gaussian vector of length p = p_surrogate and correlation rho_alpha;
     the law converges to the scale-p^alpha limit as p_surrogate grows.
-    Z = G U with U the upper Cholesky factor, so the columns a..e of Z
-    need only the first e rows of U: the sum of squares is accumulated
-    panel by panel, which skips the zero half of U and never forms Z.
+    With R = U'U the p x p Toeplitz correlation and g ~ N(0, I_p),
+    |Z|^2 = |g U|^2 = g UU' g' has the law of g R g' (UU' and U'U share
+    their eigenvalues), so a draw is c* p^(alpha-1) (g R g' - p).
+
+    R is the leading block of the symmetric circulant C with first column
+    [rho(0..p-1), 0, rho(p-1..1)], and the zero-padded g sees only that
+    block, so with lambda = fft(C's column) the form is
+    sum_k lambda_k |fft(g, 2p)_k|^2 / (2p): one real FFT of length 2p per
+    draw (Davies & Harte 1987; Wood & Chan 1994).  This is exact for any
+    symmetric circulant extension, so negative lambda_k need no clipping.
+    g holds p normals per draw, drawn row by row from the seed's generator
+    in batches that do not change the stream.
+
+    The draws have the law of the product Z = g U with
+    U = ``lrd_correlation(p, alpha)``, but not its realization: the same
+    seed and normals give other draws than that product does.
     """
     if not 0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if p_surrogate < 2:
-        raise DimensionError("p_surrogate must be >= 2")
-    if n_draws < 1:
-        raise DimensionError(f"n_draws must be >= 1, got {n_draws}")
+    p = _count(p_surrogate, "p_surrogate", 2)
+    n_draws = _count(n_draws, "n_draws", 1)
     if not 0 <= c_star < math.inf:
         raise DomainError(f"c_star must be >= 0 and finite, got {c_star}")
-    p = p_surrogate
-    u = lrd_correlation(p, alpha)
+    rho = _lrd_rho(p, alpha)
+    lam = np.fft.rfft(np.concatenate((rho, [0.0], rho[:0:-1]))).real / (2 * p)
+    # the half spectrum stands for bins k and 2p-k, except k = 0 and k = p
+    lam[1:p] *= 2.0
+    # weights of the squared real and imaginary parts in the float view
+    weights = np.repeat(lam, 2)
     rng = np.random.default_rng(seed)
     scale = c_star * p ** (alpha - 1.0)
     out = np.empty(n_draws)
-    batch = max(1, min(n_draws, 2_000_000 // p))
+    batch = max(1, min(n_draws, _LRD_BATCH_ELEMENTS // p))
     for done in range(0, n_draws, batch):
         g = rng.standard_normal((min(batch, n_draws - done), p))
-        ssq = np.zeros(len(g))
-        for a in range(0, p, _LRD_PANEL):
-            e = min(a + _LRD_PANEL, p)
-            y = g[:, :e] @ u[:e, a:e]
-            ssq += np.einsum("ij,ij->i", y, y)
-        out[done:done + len(g)] = scale * (ssq - p)
+        f = np.fft.rfft(g, n=2 * p).view(float)
+        out[done:done + len(f)] = scale * (np.square(f, out=f) @ weights - p)
     return out

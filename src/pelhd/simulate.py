@@ -139,6 +139,19 @@ def ne_correlation(q: int) -> np.ndarray:
     return cov / np.outer(d, d)
 
 
+def _lrd_rho(p: int, alpha: float) -> np.ndarray:
+    """rho_alpha(0..p-1) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2,
+    H = (2-alpha)/2: the first row of the LRD Toeplitz correlation."""
+    two_h = 2.0 - alpha
+    k = np.arange(p, dtype=float)
+    rho = np.empty(p)
+    rho[0] = 1.0
+    if p > 1:
+        kk = k[1:]
+        rho[1:] = 0.5 * ((kk + 1) ** two_h + (kk - 1) ** two_h - 2 * kk**two_h)
+    return rho
+
+
 @functools.lru_cache(maxsize=6)
 def lrd_correlation(p: int, alpha: float) -> np.ndarray:
     """Upper Cholesky factor U, read-only, of the p x p Toeplitz correlation
@@ -154,13 +167,7 @@ def lrd_correlation(p: int, alpha: float) -> np.ndarray:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if p < 1:
         raise DimensionError("p must be >= 1")
-    two_h = 2.0 - alpha
-    k = np.arange(p, dtype=float)
-    rho = np.empty(p)
-    rho[0] = 1.0
-    if p > 1:
-        kk = k[1:]
-        rho[1:] = 0.5 * ((kk + 1) ** two_h + (kk - 1) ** two_h - 2 * kk**two_h)
+    rho = _lrd_rho(p, alpha)
     # row i of the Toeplitz matrix is the window of [rho reversed, rho]
     # that starts at p-1-i: a read-only view, copied once by the factorization
     r = sliding_window_view(np.concatenate((rho[:0:-1], rho)), p)[::-1]

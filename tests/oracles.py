@@ -231,12 +231,26 @@ def ne_limit_inverse_form(r, c_star, n_draws, seed):
     return (c_star / q) * np.einsum("ij,ij->j", z, v)
 
 
-def lrd_limit_dense(u, alpha, n_draws, seed, c_star=1.0):
-    """LRD surrogate draws c* p^(alpha-1) (||G U||^2 - p) by a dense product.
+def lrd_limit_dense(alpha, p, n_draws, seed, c_star=1.0):
+    """LRD surrogate draws c* p^(alpha-1) (g R g' - p) by a dense product.
 
-    u is the p x p upper Cholesky factor; G is drawn in batches of
-    2 000 000 // p rows as the library does, and each batch is multiplied
-    by the whole of u, zeros included.
+    R is the p x p Toeplitz matrix of lrd_rho; all n_draws rows of
+    g ~ N(0, I_p) are drawn at once, from the stream the library draws in
+    batches.
+    """
+    rho = lrd_rho(alpha, p - 1)
+    r = rho[np.abs(np.subtract.outer(np.arange(p), np.arange(p)))]
+    g = np.random.default_rng(seed).standard_normal((n_draws, p))
+    return c_star * p ** (alpha - 1.0) * (np.einsum("ij,ij->i", g @ r, g) - p)
+
+
+def lrd_limit_cholesky(u, alpha, n_draws, seed, c_star=1.0):
+    """LRD surrogate draws c* p^(alpha-1) (||G U||^2 - p), Z = G U.
+
+    u is the p x p upper Cholesky factor of R: the same law as
+    lrd_limit_dense, another realization.  G is drawn in batches of
+    2 000 000 // p rows, which bounds the memory and leaves the stream as
+    it is.
     """
     p = u.shape[0]
     rng = np.random.default_rng(seed)

@@ -1,13 +1,14 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import skew
+from scipy.stats import ks_2samp, skew
 
 from pelhd.errors import DimensionError, DomainError
 from pelhd.limits import (
-    _LRD_PANEL,
+    _LRD_BATCH_ELEMENTS,
     kappa_squared,
     sample_lrd_limit,
     sample_ne_limit,
@@ -17,6 +18,7 @@ from pelhd.simulate import lrd_correlation, ne_correlation
 from conftest import rng_for
 from oracles import (
     gaussian_quadratic_center_sum_variance,
+    lrd_limit_cholesky,
     lrd_limit_dense,
     lrd_rho,
     ne_limit_inverse_form,
@@ -140,21 +142,44 @@ class TestLrdLimitSampler:
         b = sample_lrd_limit(0.1, 512, 100, 42, c_star=2.5)
         np.testing.assert_allclose(b, 2.5 * a, rtol=1e-12)
 
-    # p a multiple of the panel width and not; n_draws at the batch size
-    # 2 000 000 // p and one past it, so the second case runs two batches
+    # even and odd p; n_draws at the batch size _LRD_BATCH_ELEMENTS // p and
+    # one past it, so the second case runs two batches against the oracle's
+    # single draw of all rows
     @pytest.mark.parametrize("p,n_draws", [
-        (2 * _LRD_PANEL, 2_000_000 // (2 * _LRD_PANEL)),
-        (2 * _LRD_PANEL, 2_000_000 // (2 * _LRD_PANEL) + 1),
-        (700, 2_000_000 // 700),
-        (700, 2_000_000 // 700 + 1),
+        (512, _LRD_BATCH_ELEMENTS // 512),
+        (512, _LRD_BATCH_ELEMENTS // 512 + 1),
+        (701, _LRD_BATCH_ELEMENTS // 701),
+        (701, _LRD_BATCH_ELEMENTS // 701 + 1),
         (2, 7),
     ])
     def test_matches_dense_product(self, p, n_draws):
         alpha, c_star = 0.2, 1.5
         draws = sample_lrd_limit(alpha, p, n_draws, 17, c_star)
-        reference = lrd_limit_dense(lrd_correlation(p, alpha),
-                                    alpha, n_draws, 17, c_star)
+        reference = lrd_limit_dense(alpha, p, n_draws, 17, c_star)
         assert_draws_agree(draws, reference)
+
+    def test_same_law_as_cholesky_product(self):
+        # 20 000 draws each from unrelated streams: the KS p-value reads 0.63
+        alpha, p, n_draws = 0.2, 512, 20_000
+        draws = sample_lrd_limit(alpha, p, n_draws, rng_for("lrdlim", 4))
+        reference = lrd_limit_cholesky(lrd_correlation(p, alpha), alpha,
+                                       n_draws, rng_for("lrdlim", 5))
+        assert ks_2samp(draws, reference).pvalue >= 0.01
+
+    @pytest.mark.parametrize("p,n_draws,bound_mb", [
+        (2**16, 20, 32),   # a Cholesky factor at this p takes 32 GiB
+        (2048, 1000, 24),  # the benchmark's size: guards the batch size
+    ])
+    def test_memory_and_no_factor(self, p, n_draws, bound_mb):
+        cached = lrd_correlation.cache_info()
+        tracemalloc.start()
+        try:
+            sample_lrd_limit(0.1, p, n_draws, rng_for("lrdlim", 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20
+        assert lrd_correlation.cache_info() == cached
 
     def test_alpha_domain(self):
         for alpha in (0.0, 0.5, 0.7, -0.1):
@@ -198,6 +223,17 @@ class TestLrdLimitSampler:
         assert abs(q95_4 / q95_2 - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("value", [64.0, 2.5])
+@pytest.mark.parametrize("sampler", [
+    lambda v: sample_lrd_limit(0.1, v, 10, 0),
+    lambda v: sample_lrd_limit(0.1, 64, v, 0),
+    lambda v: sample_ne_limit(np.eye(4), 0.1, v, 0),
+], ids=["lrd-p_surrogate", "lrd-n_draws", "ne-n_draws"])
+def test_non_integer_count_rejected(sampler, value):
+    with pytest.raises(DimensionError, match="must be an integer"):
+        sampler(value)
+
+
 def agreement_table(rounds=5):
     """Print the benchmark's three limit operations against their references.
 
@@ -219,8 +255,7 @@ def agreement_table(rounds=5):
     grid = ne_correlation(200)
     cases = [(f"lrd:alpha={a}",
               lambda a=a: sample_lrd_limit(a, 2048, 1000, 5, 1.0),
-              lambda a=a: lrd_limit_dense(lrd_correlation(2048, a),
-                                          a, 1000, 5, 1.0))
+              lambda a=a: lrd_limit_dense(a, 2048, 1000, 5, 1.0))
              for a in (0.1, 0.3)]
     cases.append(("ne:q=200", lambda: sample_ne_limit(grid, 1.0, 10_000, 5),
                   lambda: ne_limit_inverse_form(grid, 1.0, 10_000, 5)))
