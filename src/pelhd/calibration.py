@@ -121,7 +121,11 @@ def _block_ytil(windows, centred, out):
 
 
 def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
-    """-log R*_m(mu0; I) on every overlapping block, lambda re-set to c* m/p.
+    """-log R*_m(mu0; I) on every overlapping block.
+
+    Each block's penalty is ``cfg.penalty(m, p)``, c* m/p; a ``cfg`` with
+    an explicit ``lam`` is a DomainError, since one lambda for every block
+    size would not be the statistic's.
 
     The blocks are solved by ``core._solve_blocks``, the builder that also
     serves ``solve_pel``; it cuts them into Newton stacks under the element
@@ -139,6 +143,9 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
     n, p = data.n, data.p
     if not 1 < m < n:
         raise DomainError(f"need 1 < m < n, got m={m}, n={n}")
+    if cfg.lam is not None:
+        raise DomainError(
+            f"a curve sets lambda = c_star m/p per block; got lam={cfg.lam}")
     mu0 = _checked_mu(mu0, p)
     windows, centred = (
         sliding_window_view(x, m, axis=0).transpose(0, 2, 1)
@@ -153,7 +160,7 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
         return _block_ytil(windows[lo:hi], centred[lo:hi], buf[:hi - lo])
 
     stats, iters, ok, res, _ = _solve_blocks(
-        ytil_of, n_blocks, m, p, cfg.c_star * m / p, cfg)
+        ytil_of, n_blocks, m, p, cfg.penalty(m, p), cfg)
     failed = np.flatnonzero(~ok)
     for b in failed:
         logger.warning("block %d/%d failed: residual %.3e after %d iterations",
@@ -231,21 +238,11 @@ def estimate_alpha_invariant(data: DataMatrix) -> float:
 
 
 def _hurst_block_sizes(p: int) -> np.ndarray:
-    """Geometric grid of block sizes in [2, p/4], dyadic when that suffices."""
+    """Geometric grid of block sizes in [2, p/4]: dyadic when that gives
+    at least 3 sizes (p/4 >= 8), with ratio sqrt(2) below that."""
     top = p // 4
-    sizes = []
-    s = 2
-    while s <= top:
-        sizes.append(s)
-        s *= 2
-    if len(sizes) < 3:
-        # refine the ratio to sqrt(2); still geometric, >= 3 sizes for p >= 16
-        sizes, s = [], 2.0
-        while round(s) <= top:
-            if not sizes or round(s) > sizes[-1]:
-                sizes.append(round(s))
-            s *= math.sqrt(2.0)
-    return np.asarray(sizes, dtype=int)
+    exponents = np.arange(1.0, math.log2(top) + 1e-9, 1.0 if top >= 8 else 0.5)
+    return np.round(2.0 ** exponents).astype(int)
 
 
 def estimate_alpha_hurst(data: DataMatrix) -> float:

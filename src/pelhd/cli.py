@@ -125,8 +125,8 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = experiments.dependence_spec(args.kind, alpha=args.alpha, ar=args.ar,
-                                       ma=args.ma, burn_in=args.burn_in)
+    spec = simulate.DependenceSpec.of(args.kind, alpha=args.alpha, ar=args.ar,
+                                      ma=args.ma, burn_in=args.burn_in)
     x = simulate.generate(spec, args.n, args.p, args.seed)
     _emit(simulate._format_matrix_csv(x, args.kind, args.seed), args.out)
     return EXIT_OK

@@ -31,7 +31,7 @@ from .calibration import (
     subsample_size,
 )
 from .core import PelConfig, compute_column_stats, solve_pel
-from .errors import ConfigError, DomainError, PelhdError
+from .errors import ConfigError, DomainError, ParameterError, PelhdError
 from .simulate import DependenceSpec, generate
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "run_experiment",
     "load_experiment_configs",
     "parse_flat_config",
-    "dependence_spec",
     "CONFIG_KEYS",
     "rows_to_csv",
     "RESULT_COLUMNS",
@@ -61,7 +60,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment cell: a single (mode, n, p) with its m-rules and levels."""
+    """One experiment cell: a single (mode, n, p) with its m-rules and levels.
+
+    ``m_rules`` left None takes the regime's default: ne-cuberoot:1,
+    ne-sqrt:1 and ne-sqrt:2 for NE, ergodic:0.5, 1 and 2 otherwise.
+    """
 
     mode: str
     n: int
@@ -69,13 +72,18 @@ class ExperimentConfig:
     dependence: DependenceSpec
     c_star: float = 1.0
     levels: tuple[float, ...] = (0.05, 0.1)
-    m_rules: tuple[tuple[str, float], ...] = (("ergodic", 1.0),)
+    m_rules: tuple[tuple[str, float], ...] | None = None
     n_replicates: int = 500
     seed: int = 0
     mu1_scale: float = 1.0
     output_path: str | None = None
 
     def __post_init__(self):
+        if self.m_rules is None:
+            object.__setattr__(self, "m_rules", (
+                (("ne-cuberoot", 1.0), ("ne-sqrt", 1.0), ("ne-sqrt", 2.0))
+                if self.is_ne else
+                (("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0))))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 2 or self.p < 2:
@@ -338,7 +346,8 @@ def _m_rule(item: str) -> tuple[str, float]:
 
 # Every config key and the parser of its value (ValueError if it is bad).
 # p lists one ExperimentConfig each and out sets output_path; dependence and
-# the regime keys build the DependenceSpec; the rest set their own field.
+# the regime keys build the DependenceSpec through DependenceSpec.of, which
+# drops the keys of the other regimes; the rest set their own field.
 CONFIG_KEYS = {
     "mode": str.lower, "n": int, "p": _listed(int), "c_star": float,
     "levels": _listed(float), "m_rules": _listed(_m_rule),
@@ -346,10 +355,6 @@ CONFIG_KEYS = {
     "dependence": str.lower, "alpha": float, "ar": _listed(float),
     "ma": _listed(float), "burn_in": int,
 }
-
-# The DependenceSpec fields each regime reads.  The keys of the other
-# regimes are not passed on, so they leave config_hash unchanged.
-_REGIME_KEYS = {"ne": (), "lrd": ("alpha",), "srd": ("ar", "ma", "burn_in")}
 
 
 def parse_flat_config(text: str) -> dict[str, object]:
@@ -378,24 +383,15 @@ def parse_flat_config(text: str) -> dict[str, object]:
     return out
 
 
-def dependence_spec(kind, **keys) -> DependenceSpec:
-    """The DependenceSpec of regime ``kind``; a key absent or None keeps its default."""
-    if kind not in _REGIME_KEYS:
-        raise ConfigError(f"dependence must be ne, lrd or srd, got {kind!r}")
-    given = {k: keys[k] for k in _REGIME_KEYS[kind] if keys.get(k) is not None}
-    if kind == "lrd" and "alpha" not in given:
-        raise ConfigError("lrd dependence requires 'alpha'")
-    return DependenceSpec(kind=kind, **given)
-
-
 def load_experiment_configs(text: str) -> list[ExperimentConfig]:
     """Expand a flat config into one ExperimentConfig per requested p.
 
     ``p`` must list at least one value, none of them twice.
 
-    Only the typed values the file sets are passed on; the other fields
-    keep their dataclass defaults, except m_rules, whose default depends
-    on the regime.
+    Only the typed values the file sets are passed on; every other field
+    keeps its dataclass default (the m-rule default included).  The
+    DependenceSpec comes from ``DependenceSpec.of``, and a setting it
+    rejects is a ConfigError.
     """
     values = parse_flat_config(text)
     for key in ("mode", "n", "p", "n_replicates", "seed"):
@@ -403,13 +399,11 @@ def load_experiment_configs(text: str) -> list[ExperimentConfig]:
             raise ConfigError(f"missing required config key {key!r}")
     if not values["p"] or len(set(values["p"])) < len(values["p"]):
         raise ConfigError(f"'p' must list distinct values, got {values['p']}")
-    dep = dependence_spec(values.get("dependence"), **values)
+    try:
+        dep = DependenceSpec.of(values.get("dependence"), **values)
+    except ParameterError as exc:
+        raise ConfigError(f"dependence: {exc}") from exc
     kwargs = {k: v for k, v in values.items()
               if k in ExperimentConfig.__dataclass_fields__}
     kwargs.update(dependence=dep, output_path=values.get("out"))
-    if "m_rules" not in values:
-        kwargs["m_rules"] = (
-            (("ne-cuberoot", 1.0), ("ne-sqrt", 1.0), ("ne-sqrt", 2.0))
-            if dep.kind == "ne" else
-            (("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0)))
     return [ExperimentConfig(**{**kwargs, "p": p}) for p in values["p"]]

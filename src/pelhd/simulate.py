@@ -46,6 +46,9 @@ _NE_WEIGHT = math.e + 1.0
 _NE_TERMS = 31
 # Time steps per block of the SRD filter (see _arma_filter).
 _FILTER_BLOCK = 32
+# The DependenceSpec fields each regime reads; ``DependenceSpec.of`` passes
+# on only these, so another regime's settings leave a spec unchanged.
+_REGIME_FIELDS = {"ne": (), "lrd": ("alpha",), "srd": ("ar", "ma", "burn_in")}
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,9 @@ class DependenceSpec:
     """Tagged description of a generating process: NE | LRD(alpha) | SRD(arma).
 
     ``alpha`` is read for LRD only; ``ar``, ``ma`` and ``burn_in`` for SRD
-    only.  Every regime draws unit-scale components.
+    only, and ``ar`` and ``ma`` are stored as tuples of floats.  ``of``
+    builds a spec from the settings of any regime.  Every regime draws
+    unit-scale components.
     """
 
     kind: str
@@ -63,8 +68,11 @@ class DependenceSpec:
     burn_in: int = 500
 
     def __post_init__(self):
-        if self.kind not in ("ne", "lrd", "srd"):
+        if self.kind not in _REGIME_FIELDS:
             raise ParameterError(f"unknown dependence kind {self.kind!r}")
+        for name in ("ar", "ma"):
+            # a list would leave the spec unhashable and unequal to its tuple
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if self.kind == "lrd":
             if self.alpha is None or not 0 < self.alpha < 1:
                 raise ParameterError(
@@ -75,6 +83,14 @@ class DependenceSpec:
                 raise ParameterError(f"ma coefficients must be finite, got {self.ma}")
             if self.burn_in < 0:
                 raise ParameterError("burn_in must be >= 0")
+
+    @classmethod
+    def of(cls, kind, /, **settings) -> "DependenceSpec":
+        """The spec of regime ``kind``.  A setting of that regime that is
+        absent or None keeps its field default; the settings of the other
+        regimes are ignored."""
+        return cls(kind, **{k: settings[k] for k in _REGIME_FIELDS.get(kind, ())
+                            if settings.get(k) is not None})
 
     @classmethod
     def non_ergodic(cls) -> "DependenceSpec":
@@ -88,10 +104,8 @@ class DependenceSpec:
     def short_range_arma(cls, ar=None, ma=None,
                          burn_in=None) -> "DependenceSpec":
         """SRD with the ``ar``, ``ma`` and ``burn_in`` given; one left None
-        keeps its field default.  ``ar`` and ``ma`` are stored as tuples."""
-        given = {"ar": ar, "ma": ma, "burn_in": burn_in}
-        return cls(kind="srd", **{k: v if k == "burn_in" else tuple(v)
-                                  for k, v in given.items() if v is not None})
+        keeps its field default."""
+        return cls.of("srd", ar=ar, ma=ma, burn_in=burn_in)
 
     @property
     def decay_exponent(self) -> float:

@@ -111,6 +111,16 @@ class TestCurves:
             with pytest.raises(DomainError):
                 build_curve_ergodic(dm, np.zeros(4), m, 0.5, CFG)
 
+    def test_explicit_lam_rejected(self):
+        # a curve's penalty is c* m/p; one fixed lambda would be silently
+        # replaced by it
+        dm = compute_column_stats(generate(SPEC_SRD, 40, 16, rng_for("lam", 0)))
+        cfg = PelConfig(lam=50.0)
+        with pytest.raises(DomainError, match="lam"):
+            build_curve_ne(dm, np.zeros(16), 10, cfg)
+        with pytest.raises(DomainError, match="lam"):
+            build_curve_ergodic(dm, np.zeros(16), 10, 0.5, cfg)
+
     def test_non_finite_mu_rejected(self):
         dm = compute_column_stats(rng_for("curve", 0).normal(size=(12, 4)))
         mu0 = np.array([0.0, math.nan, 0.0, 0.0])
@@ -314,6 +324,28 @@ class TestAlphaHurst:
         with pytest.raises(DegenerateDataError):
             estimate_alpha_hurst(compute_column_stats(x))
 
+    def test_degenerate_rows_skipped_with_a_debug_record(self, caplog):
+        x = rng_for("h6", 0).normal(size=(30, 64))
+        x[[3, 7]] = 1.5  # constant rows: zero block-mean variance
+        caplog.set_level(logging.DEBUG, logger="pelhd.calibration")
+        a = estimate_alpha_hurst(compute_column_stats(x))
+        assert caplog.messages == [
+            "skipping 2 degenerate rows in Hurst estimation"]
+        rest = estimate_alpha_hurst(
+            compute_column_stats(np.delete(x, [3, 7], axis=0)))
+        assert a == pytest.approx(rest, rel=1e-12)
+
+    @pytest.mark.parametrize("p, sizes", [
+        (16, [2, 3, 4]), (20, [2, 3, 4]), (24, [2, 3, 4, 6]),
+        (31, [2, 3, 4, 6]), (32, [2, 4, 8]), (100, [2, 4, 8, 16]),
+        (400, [2, 4, 8, 16, 32, 64]),
+        (4096, [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),
+    ])
+    def test_block_size_grid(self, p, sizes):
+        # dyadic up to p/4 once that gives 3 sizes, ratio sqrt(2) below
+        grid = calibration._hurst_block_sizes(p)
+        assert grid.dtype.kind == "i" and grid.tolist() == sizes
+
 
 class TestKappaSqInvariant:
     def test_independent_columns_thresholded_to_zero(self):
@@ -360,6 +392,12 @@ class TestKappaSqInvariant:
             x = rng_for("knn", rep).normal(size=(40, 6))
             assert estimate_kappa_sq_invariant(
                 compute_column_stats(x), 2.0) >= 0.0
+
+    @pytest.mark.parametrize("n, p", [(2, 6), (40, 2)])
+    def test_needs_three_rows_and_columns(self, n, p):
+        x = rng_for("kinv-dim", 0).normal(size=(n, p))
+        with pytest.raises(DimensionError):
+            estimate_kappa_sq_invariant(compute_column_stats(x), 1.0)
 
 
 class TestKappaSqPlugin:
@@ -428,6 +466,8 @@ class TestConservativeRule:
         assert not conservative_reject(1.0 + tau / 2, 1.0, n)
         assert conservative_reject(1.0 + 2 * tau, 1.0, n)
         assert conservative_reject(1.0 - 2 * tau, 1.0, n)
+        with pytest.raises(DimensionError):
+            conservative_reject(1.0, 1.0, 1)
 
     def test_short_range_null_rates(self):
         """Rejection rates of the deviation rule at fixed dimension.

@@ -137,6 +137,10 @@ class TestColumnStats:
         with pytest.raises(DimensionError):
             compute_column_stats([1.0, 2.0, 3.0])
 
+    def test_no_column_rejected(self):
+        with pytest.raises(DimensionError, match="column"):
+            compute_column_stats(np.empty((3, 0)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_rejected(self, bad):
         x = np.arange(12.0).reshape(4, 3)

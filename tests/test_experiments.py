@@ -88,6 +88,7 @@ class TestConfigValidation:
         {"c_star": math.inf}, {"c_star": math.nan}, {"c_star": 0.0},
         {"mode": "power", "mu1_scale": math.nan},
         {"mode": "power", "mu1_scale": math.inf},
+        {"n": 1}, {"p": 1}, {"levels": ()}, {"m_rules": ()},
     ], ids=lambda s: "-".join(f"{k}={v}" for k, v in s.items()))
     def test_bad_pel_settings_rejected_when_built(self, setting):
         with pytest.raises(ConfigError):
@@ -153,10 +154,37 @@ class TestFlatConfigParsing:
         assert srd.m_rules == (("ergodic", 0.5), ("ergodic", 1.0),
                                ("ergodic", 2.0))
 
+    @pytest.mark.parametrize("regime", [
+        "dependence=ne", "dependence=srd", "dependence=lrd\nalpha=0.3"])
+    def test_dataclass_holds_the_m_rule_default(self, regime):
+        # a config built in code without m_rules gets the file's default
+        (loaded,) = load_experiment_configs(
+            f"mode=level\nn=50\np=20\nn_replicates=5\nseed=1\n{regime}")
+        built = ExperimentConfig(mode="level", n=50, p=20,
+                                 dependence=loaded.dependence,
+                                 n_replicates=5, seed=1)
+        assert built == loaded
+        assert built.config_hash() == loaded.config_hash()
+
+    def test_coefficient_lists_keep_the_config_hash(self):
+        listed = small_cfg(dependence=DependenceSpec(
+            kind="srd", ar=[-0.4, 0.1], ma=[0.3, 0.5, 0.1]))
+        assert listed == small_cfg()
+        assert listed.config_hash() == small_cfg().config_hash()
+        assert hash(listed) == hash(small_cfg())
+
     def test_lrd_requires_alpha(self):
         with pytest.raises(ConfigError):
             load_experiment_configs(
                 "mode=level\ndependence=lrd\nn=50\np=20\nn_replicates=5\nseed=1")
+
+    @pytest.mark.parametrize("regime", [
+        "dependence=weird", "", "dependence=srd\nburn_in=-1"])
+    def test_bad_dependence_is_config_error(self, regime):
+        # a missing dependence key is an unknown kind, like an unknown name
+        with pytest.raises(ConfigError, match="dependence"):
+            load_experiment_configs(
+                f"mode=level\nn=50\np=20\nn_replicates=5\nseed=1\n{regime}")
 
     def test_unknown_and_duplicate_keys(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, skew
 
-from pelhd.errors import DimensionError, DomainError
+from pelhd.errors import DimensionError, DomainError, NumericError
 from pelhd.limits import (
     _LRD_BATCH_ELEMENTS,
     kappa_squared,
@@ -111,6 +111,10 @@ class TestNeLimitSampler:
             sample_ne_limit(2 * np.eye(4), 1.0, 10, 0)  # diagonal != 1
         with pytest.raises(DimensionError):
             sample_ne_limit(np.empty((0, 0)), 1.0, 10, 0)
+        not_psd = np.full((3, 3), -0.9)  # eigenvalues -0.8, 1.9, 1.9
+        np.fill_diagonal(not_psd, 1.0)
+        with pytest.raises(NumericError, match="PSD"):
+            sample_ne_limit(not_psd, 0.1, 10, 0)
         for c_star in (-1.0, math.nan):
             with pytest.raises(DomainError):
                 sample_ne_limit(np.eye(4), c_star, 10, 0)

@@ -82,6 +82,8 @@ class TestLrdCorrelation:
             lrd_correlation(10, 1.0)
         with pytest.raises(DomainError):
             lrd_correlation(10, 0.0)
+        with pytest.raises(DimensionError):
+            lrd_correlation(0, 0.5)
 
     def test_cached_and_read_only(self):
         u = lrd_correlation(32, 0.4)
@@ -290,6 +292,11 @@ class TestDeterminismAndDispatch:
         c = generate(spec, 30, 12, 992)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n, p", [(0, 5), (5, 0)])
+    def test_empty_sample_rejected(self, n, p):
+        with pytest.raises(DimensionError):
+            generate(NE, n, p, 0)
+
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             DependenceSpec.long_range(1.2)
@@ -298,6 +305,8 @@ class TestDeterminismAndDispatch:
         for ar in ((0.1,), (0.1, 0.1, 0.1)):
             with pytest.raises(ParameterError):
                 DependenceSpec.short_range_arma(ar=ar)
+        with pytest.raises(ParameterError, match="burn_in"):
+            DependenceSpec.short_range_arma(burn_in=-1)
         assert DependenceSpec.non_ergodic().decay_exponent == 0.0
         assert DependenceSpec.short_range_arma().decay_exponent == math.inf
 
@@ -306,6 +315,36 @@ class TestDeterminismAndDispatch:
         spec = DependenceSpec.short_range_arma(ar=[0.5, -0.3], ma=[0.2])
         assert spec == DependenceSpec(kind="srd", ar=(0.5, -0.3), ma=(0.2,))
         assert spec.burn_in == DependenceSpec(kind="srd").burn_in
+
+    def test_coefficient_lists_are_stored_as_tuples(self):
+        # a list would leave the spec unequal to its tuple and unhashable
+        spec = DependenceSpec(kind="srd", ar=[-0.4, 0.1], ma=[0.3, 0.5, 0.1])
+        assert spec == DependenceSpec.short_range_arma()
+        assert hash(spec) == hash(DependenceSpec.short_range_arma())
+        assert spec.ar == (-0.4, 0.1) and spec.ma == (0.3, 0.5, 0.1)
+        ints = DependenceSpec(kind="srd", ar=(0, 0), ma=[1])
+        assert type(ints.ar[0]) is float and type(ints.ma[0]) is float
+
+    @pytest.mark.parametrize("kind, settings, expect", [
+        ("ne", {"alpha": 0.3, "ar": (0.5, 0.2), "burn_in": 7},
+         DependenceSpec(kind="ne")),
+        ("lrd", {"alpha": 0.3, "ma": (0.1,), "burn_in": None},
+         DependenceSpec(kind="lrd", alpha=0.3)),
+        ("srd", {"alpha": 0.3, "ar": None, "ma": [0.2], "burn_in": 20},
+         DependenceSpec(kind="srd", ma=(0.2,), burn_in=20)),
+        ("srd", {}, DependenceSpec(kind="srd")),
+    ], ids=["ne", "lrd", "srd", "srd-defaults"])
+    def test_of_reads_only_the_regimes_settings(self, kind, settings, expect):
+        # a setting left None keeps its default; another regime's is dropped
+        assert DependenceSpec.of(kind, **settings) == expect
+
+    @pytest.mark.parametrize("kind, settings", [
+        ("weird", {}), (None, {"alpha": 0.3}), ("lrd", {"alpha": None}),
+        ("lrd", {"ar": (0.5, 0.2)}), ("srd", {"burn_in": -1}),
+    ])
+    def test_of_rejects_what_the_spec_rejects(self, kind, settings):
+        with pytest.raises(ParameterError):
+            DependenceSpec.of(kind, **settings)
 
 
 class TestNeCorrelationGrid:
