@@ -29,16 +29,21 @@ back, so no matrix is copied per iteration and a stack holds
 BLOCK_CHUNK_ELEMENTS // (n+1)^2 problems; above that G, of rank at most p,
 is never formed, the stack is the n x p factors sqrt(2 lambda) Ytil, and a
 step goes through a p x p capacitance matrix in O(n p^2) time.  Memory
-therefore grows with n min(n, p).  Once the squared Newton decrement -g'd
-is below 1/16 the step is in the pure-Newton phase of this
-self-concordant objective and is taken in full, so convergence does not
-hinge on comparing objective values that differ by less than their
-rounding; larger steps backtrack to an Armijo decrease.  A problem leaves
-the stack once its KKT residual is below ``newton_tol``; one that Newton
-leaves unconverged is reported as such.  The builder logs one DEBUG
-record on this module's logger per run of problems, a full sample or a
-curve: its path, shape, problem and stack counts, total and largest
-iteration count, failed problems and largest residual.
+therefore grows with n min(n, p).  Newton starts each problem from a
+predictor: the uniform weights 1/n, or one inexact Newton step from them
+that takes only products with G and no linear solve, kept where it stays
+positive and lowers the KKT residual (see ``_predictor``); the iteration
+counts reported count Newton steps only, not the predictor.  Once the
+squared Newton decrement -g'd is below 1/16 the step is in the
+pure-Newton phase of this self-concordant objective and is taken in full,
+so convergence does not hinge on comparing objective values that differ
+by less than their rounding; larger steps backtrack to an Armijo
+decrease.  A problem leaves the stack once its KKT residual is below
+``newton_tol``; one that Newton leaves unconverged is reported as such.
+The builder logs one DEBUG record on this module's logger per run of
+problems, a full sample or a curve: its path, shape, problem and stack
+counts, total and largest iteration count, failed problems and largest
+residual.
 """
 
 from __future__ import annotations
@@ -384,6 +389,47 @@ def _step_lengths(pi, d, gpi, matvec, dec):
     return t
 
 
+def _residual(x, gpi):
+    """The gradient -1/x + G x of each row of the stack, given G x, and its
+    KKT residual: the max-norm of its projection onto 1'd = 0."""
+    grad = -1.0 / x + gpi
+    centred = grad - grad.mean(axis=1, keepdims=True)
+    return grad, np.max(np.abs(centred), axis=1)
+
+
+def _predictor(lin):
+    """Where Newton starts each row: the uniform weights x0 = 1/n or one
+    inexact Newton step from them (Dembo, Eisenstat & Steihaug 1982).
+
+    At x0 the Hessian is n^2 I + G, and G is small next to n^2 I in most
+    problems, so the two-term Neumann series n^-2 (I - G/n^2) stands in
+    for its inverse.  With g0 the gradient at x0,
+
+        v = g0 - G g0 / n^2,  w = 1 - G x0 / n  (= (I - G/n^2) 1),
+        nu = -sum v / sum w,  x1 = x0 - (v + nu w) / n^2,
+
+    and x1 is renormalized to sum to 1, as a Newton iterate is.  A row
+    keeps x1 only where x1 > 0 and its KKT residual at x1 is below that
+    at x0; every other row, a non-finite one included, keeps x0.  The step
+    costs two products with G beyond the G x0 that a start at x0 needs,
+    and no linear solve.  Returns (x, G x), one row per problem.
+    """
+    n = lin.n
+    x0 = np.full((len(lin.mat), n), 1.0 / n)
+    gpi0 = lin.matvec(x0)
+    grad0, res0 = _residual(x0, gpi0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = grad0 - lin.matvec(grad0) / n**2
+        w = 1.0 - gpi0 / n
+        nu = -v.sum(axis=1) / w.sum(axis=1)
+        x1 = x0 - (v + nu[:, None] * w) / n**2
+        x1 /= x1.sum(axis=1, keepdims=True)
+        gpi1 = lin.matvec(x1)
+        keep = np.all(x1 > 0, axis=1) & (_residual(x1, gpi1)[1] < res0)
+    keep = keep[:, None]
+    return np.where(keep, x1, x0), np.where(keep, gpi1, gpi0)
+
+
 def _newton(lin, cfg: PelConfig):
     """Feasible-start Newton on a stack of B same-shape problems: the one
     function from a stack to its statistics.
@@ -395,7 +441,10 @@ def _newton(lin, cfg: PelConfig):
     the Newton steps (``step``), and gives the problems' size ``n`` and,
     as built, which G_b are nonzero (``penalized``).  This loop drops the
     rows that leave the stack from ``mat``, in one indexing operation.
-    Every row starts at the uniform weights 1/n.  Both kinds share this
+    Every row starts where ``_predictor`` puts it, from the uniform
+    weights 1/n, and G x at the start comes from the predictor too; the
+    iteration counts returned are Newton steps and do not count the
+    predictor, so a row it certifies has 0.  Both kinds share this
     loop, its step rule and its stopping rule; each iteration takes the
     Newton steps of the rows still active in one batched call.  A row
     leaves the stack once its KKT residual is below ``newton_tol``
@@ -403,7 +452,7 @@ def _newton(lin, cfg: PelConfig):
     decrement or a line search that gave out.  Its criterion is evaluated
     as it leaves, from the x and G x in hand.  A tiny negative is snapped
     to 0, and a row whose G is zero (lambda = 0 or every delta = 0) has no
-    penalty: the uniform start is optimal and K_n is exactly 0.
+    penalty: the uniform weights are optimal and K_n is exactly 0.
 
     Returns (pi, stat, iterations, converged, residual), one entry per row;
     where ``converged`` is False, ``pi`` is the best iterate and ``stat``
@@ -415,7 +464,8 @@ def _newton(lin, cfg: PelConfig):
     converged = np.zeros(n_rows, dtype=bool)
     residual = np.full(n_rows, np.inf)
     pi, stat = np.empty((n_rows, n)), np.empty(n_rows)
-    rows, x = np.arange(n_rows), np.full((n_rows, n), 1.0 / n)
+    rows = np.arange(n_rows)
+    x, gpi = _predictor(lin)
 
     def retire(mask, it, *arrays):
         """Record the rows in ``mask`` as finished at iteration ``it`` with
@@ -432,9 +482,7 @@ def _newton(lin, cfg: PelConfig):
         return [a[keep] for a in (rows, x, *arrays)]
 
     for it in range(max_iters + 1):
-        gpi = lin.matvec(x)
-        grad = -1.0 / x + gpi
-        res = np.max(np.abs(grad - grad.mean(axis=1, keepdims=True)), axis=1)
+        grad, res = _residual(x, gpi)
         residual[rows] = res
         converged[rows] = res < cfg.newton_tol
         done = converged[rows] | (it == max_iters)
@@ -453,6 +501,7 @@ def _newton(lin, cfg: PelConfig):
                 break
         x = x + t[:, None] * d
         x /= x.sum(axis=1, keepdims=True)
+        gpi = lin.matvec(x)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
     stat[~lin.penalized] = 0.0
     return pi, stat, iterations, converged, residual

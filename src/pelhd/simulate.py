@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,8 +46,8 @@ _NE_WEIGHT = math.e + 1.0
 _NE_TERMS = 31
 # Time steps per block of the SRD filter (see _arma_filter).
 _FILTER_BLOCK = 32
-# The DependenceSpec fields each regime reads; ``DependenceSpec.of`` passes
-# on only these, so another regime's settings leave a spec unchanged.
+# The DependenceSpec fields each regime reads; a spec resets the others to
+# their defaults, so another regime's settings leave a spec unchanged.
 _REGIME_FIELDS = {"ne": (), "lrd": ("alpha",), "srd": ("ar", "ma", "burn_in")}
 
 
@@ -56,8 +56,10 @@ class DependenceSpec:
     """Tagged description of a generating process: NE | LRD(alpha) | SRD(arma).
 
     ``alpha`` is read for LRD only; ``ar``, ``ma`` and ``burn_in`` for SRD
-    only, and ``ar`` and ``ma`` are stored as tuples of floats.  ``of``
-    builds a spec from the settings of any regime.  Every regime draws
+    only, and ``ar`` and ``ma`` are stored as tuples of floats.  The fields
+    the kind does not read are reset to their defaults, so two specs of a
+    regime that draw the same data compare equal.  ``of`` builds a spec
+    from the settings of any regime.  Every regime draws
     unit-scale components.
     """
 
@@ -70,6 +72,11 @@ class DependenceSpec:
     def __post_init__(self):
         if self.kind not in _REGIME_FIELDS:
             raise ParameterError(f"unknown dependence kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            # another regime's setting would change equality and the
+            # config hash, not the data
+            if f.name not in _REGIME_FIELDS[self.kind]:
+                object.__setattr__(self, f.name, f.default)
         for name in ("ar", "ma"):
             # a list would leave the spec unhashable and unequal to its tuple
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))

@@ -23,23 +23,40 @@ def objective_direct(pi, y, delta, lam):
 def dense_newton(y, delta, lam, tol=1e-10, max_iters=100):
     """Reference PEL solve of one problem: Newton on the dense bordered KKT.
 
-    Restates the library's step and stopping rules with the n x n Hessian
-    diag(1/pi^2) + G, G = 2 lam (y delta y'), formed explicitly: a full
-    step below a squared Newton decrement of 1/16 (when it stays inside
-    the simplex), otherwise backtracking from 0.99 of the largest feasible
-    step until the direct objective decreases by 1e-4 t times the
-    decrement; stop once the projected gradient's max-norm is below tol.
-    Returns (K_n, iterations); raises RuntimeError if not certified.
+    Restates the library's start, step and stopping rules with the n x n
+    Hessian diag(1/pi^2) + G, G = 2 lam (y delta y'), formed explicitly.
+    Start: the uniform weights x0, or the predictor x1 = x0 - (v + nu w)/n^2
+    with v = (I - G/n^2) g0, w = (I - G/n^2) 1 and nu making sum x1 = 1
+    (then renormalized), kept only if x1 > 0 and its residual is below
+    x0's.  Steps: a full step below a squared Newton decrement of 1/16
+    (when it stays inside the simplex), otherwise backtracking from 0.99
+    of the largest feasible step until the direct objective decreases by
+    1e-4 t times the decrement; stop once the projected gradient's
+    max-norm is below tol.  Returns (K_n, iterations), the iterations
+    counting Newton steps, not the predictor; raises RuntimeError if not
+    certified.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     gram = 2.0 * lam * (y * delta) @ y.T
     kkt = np.zeros((n + 1, n + 1))
     kkt[:n, n] = kkt[n, :n] = 1.0
-    pi = np.full(n, 1.0 / n)
-    for it in range(max_iters + 1):
+
+    def residual(pi):
         grad = -1.0 / pi + gram @ pi
-        if np.max(np.abs(grad - grad.mean())) < tol:
+        return grad, np.max(np.abs(grad - grad.mean()))
+
+    pi = np.full(n, 1.0 / n)
+    grad0, res0 = residual(pi)
+    v = grad0 - gram @ grad0 / n**2
+    w = np.ones(n) - gram @ np.ones(n) / n**2
+    x1 = pi - (v - v.sum() / w.sum() * w) / n**2
+    x1 /= x1.sum()
+    if np.all(x1 > 0) and residual(x1)[1] < res0:
+        pi = x1
+    for it in range(max_iters + 1):
+        grad, res = residual(pi)
+        if res < tol:
             return objective_direct(pi, y, delta, lam), it
         kkt[:n, :n] = gram + np.diag(pi ** -2)
         d = np.linalg.solve(kkt, np.append(-grad, 0.0))[:n]

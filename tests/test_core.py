@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ from pelhd.core import (
     _LowRankStep,
     _kkt_solve,
     _newton,
+    _predictor,
     _solve_blocks,
     compute_column_stats,
     solve_pel,
 )
 from pelhd.errors import ConvergenceError, DimensionError, DomainError
+from pelhd.experiments import _replicate_seed, load_experiment_configs
 from pelhd.simulate import DependenceSpec, generate
 
 from conftest import rng_for
 from oracles import dense_newton, objective_direct, simplex_grid_minimum
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STRESS_KINDS = ("lambda", "far_mu", "near_dup", "cauchy", "constant")
 
 # K_n of stress_instance(k), k = 0..39, recorded with the one-problem-at-a-
@@ -325,6 +329,14 @@ class TestSolvePel:
             assert curve.block_stats[i] == pytest.approx(want, rel=1e-9), i
 
 
+def gram_step(ytil, lam):
+    """The Gram path's stack of the (B, n, p) problems ``ytil``."""
+    n = ytil.shape[1]
+    mat = np.empty((len(ytil), n + 2, n + 1))
+    np.matmul(ytil, ytil.transpose(0, 2, 1), out=mat[:, :n, :n])
+    return _GramStep(mat, lam)
+
+
 def srd_instance(key, n, p):
     x = generate(DependenceSpec.short_range_arma(), n, p, rng_for(*key))
     return compute_column_stats(x), np.full(p, 0.1)
@@ -381,21 +393,16 @@ class TestStepPaths:
         x /= x.sum(axis=1, keepdims=True)
         grad, v = rng.normal(size=(2, b, n))
         keep = np.array([True, False, True, True])
-
-        def gram_step(y):
-            mat = np.empty((len(y), n + 2, n + 1))
-            np.matmul(y, y.transpose(0, 2, 1), out=mat[:, :n, :n])
-            return _GramStep(mat, 2.0)
-
-        lin = gram_step(ytil)
+        lin = gram_step(ytil, 2.0)
         gram, before = lin.mat[:, :n, :n].copy(), lin.matvec(v)
         lin.step(x, grad)
         lin.mat = lin.mat[keep]
         assert np.array_equal(lin.mat[:, :n, :n], gram[keep])
         assert np.array_equal(lin.matvec(v[keep]), before[keep])
         # the next step is that of a stack built from the kept rows alone
-        assert np.array_equal(lin.step(x[keep], grad[keep]),
-                              gram_step(ytil[keep]).step(x[keep], grad[keep]))
+        assert np.array_equal(
+            lin.step(x[keep], grad[keep]),
+            gram_step(ytil[keep], 2.0).step(x[keep], grad[keep]))
 
     @pytest.mark.parametrize("n,p,path", [(30, 4, "lowrank"), (4, 30, "gram")])
     def test_debug_record_names_the_path(self, caplog, n, p, path):
@@ -407,6 +414,49 @@ class TestStepPaths:
             f"newton: path={path} n={n} p={p} problems=1 stacks=1 "
             f"iterations={sol.iterations} max_iterations={sol.iterations} "
             f"failed=0 max_residual={sol.kkt_residual:.3e}"]
+
+
+class TestPredictor:
+    """The matvec-only predictor step that Newton starts from."""
+
+    @pytest.mark.parametrize("path", [gram_step, _LowRankStep],
+                             ids=["gram", "lowrank"])
+    def test_rows_solve_as_they_do_alone(self, path):
+        """A far-mu row, whose predictor is rejected, stacked with null
+        rows, whose predictors are kept: each row's statistic and Newton
+        step count are those of the row solved alone."""
+        b, n, p = 4, 24, 12
+        x = rng_for("predictor", 0).normal(size=(b, n, p))
+        mu = np.zeros((b, p))
+        mu[1] = 30.0
+        ytil = (x - mu[:, None, :]) / x.std(axis=1, keepdims=True)
+        lam, cfg = n / p, PelConfig()
+        start, _ = _predictor(path(ytil, lam))
+        kept = ~np.all(start == 1.0 / n, axis=1)
+        assert kept.tolist() == [True, False, True, True]
+        _, stat, iters, ok, _ = _newton(path(ytil, lam), cfg)
+        assert ok.all()
+        for i in range(b):
+            _, alone, its, _, _ = _newton(path(ytil[i:i + 1], lam), cfg)
+            assert iters[i] == its[0], i
+            assert stat[i] == alone[0], i
+
+    def test_srd_curve_takes_fewer_steps(self, caplog):
+        """Block curve m = 27 of replicate 0 of the table1_srd cell p = 100
+        (c0 = 1): started at the uniform weights, every block took 4
+        Newton steps; from the predictor they take about 3."""
+        cfg = next(c for c in load_experiment_configs(
+            (CONFIGS / "table1_srd.ini").read_text()) if c.p == 100)
+        m = cfg.subsample_sizes()[cfg.m_rules.index(("ergodic", 1.0))]
+        assert (cfg.n, m) == (200, 27)
+        x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, 0))
+        caplog.set_level(logging.DEBUG, logger="pelhd.core")
+        build_curve_ne(compute_column_stats(x), np.zeros(cfg.p), m,
+                       cfg.pel_config())
+        (record,) = caplog.messages
+        fields = dict(f.split("=") for f in record.split()[1:])
+        assert int(fields["problems"]) == cfg.n - m + 1
+        assert int(fields["iterations"]) / int(fields["problems"]) <= 3.5
 
 
 class TestStatisticProperties:

@@ -173,6 +173,20 @@ class TestFlatConfigParsing:
         assert listed.config_hash() == small_cfg().config_hash()
         assert hash(listed) == hash(small_cfg())
 
+    @pytest.mark.parametrize("spec, other", [
+        (DependenceSpec(kind="srd"), {"alpha": 0.3}),
+        (DependenceSpec(kind="ne"), {"alpha": 0.3, "ar": (0.5, 0.2)}),
+        (DependenceSpec(kind="lrd", alpha=0.3),
+         {"ar": (0.5, 0.2), "ma": (0.1,), "burn_in": 7}),
+    ], ids=["srd", "ne", "lrd"])
+    def test_other_regimes_settings_keep_the_config_hash(self, spec, other):
+        # a spec built directly drops what its regime does not read, as
+        # DependenceSpec.of does
+        mixed = replace(spec, **other)
+        assert mixed == spec and hash(mixed) == hash(spec)
+        assert (small_cfg(dependence=mixed).config_hash()
+                == small_cfg(dependence=spec).config_hash())
+
     def test_lrd_requires_alpha(self):
         with pytest.raises(ConfigError):
             load_experiment_configs(
