@@ -17,8 +17,10 @@ The limit depends on the correlation-decay exponent alpha:
 
 Both samplers cost what their draws need: O(q) per non-ergodic draw after
 one eigendecomposition, and one real FFT of length 2p per LRD draw, since
-the surrogate's sum of squares is a Toeplitz quadratic form in N(0, I_p)
-normals; no p x p matrix is formed.
+the surrogate's sum of squares is a quadratic form in N(0, I_p) normals
+with the Toeplitz matrix of ``simulate.lrd_correlation``, evaluated
+through the circulant spectrum the LRD data are drawn from; no p x p
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import operator
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .simulate import _lrd_rho
+from .simulate import _lrd_spectrum
 
 __all__ = [
     "kappa_squared",
@@ -121,18 +123,20 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     |Z|^2 = |g U|^2 = g UU' g' has the law of g R g' (UU' and U'U share
     their eigenvalues), so a draw is c* p^(alpha-1) (g R g' - p).
 
-    R is the leading block of the symmetric circulant C with first column
-    [rho(0..p-1), 0, rho(p-1..1)], and the zero-padded g sees only that
-    block, so with lambda = fft(C's column) the form is
+    R is the leading block of the symmetric circulant C of
+    ``simulate._lrd_spectrum``, with first column [rho(0..p), rho(p-1..1)]
+    and eigenvalues lambda, the spectrum the LRD data are drawn from.  The
+    zero-padded g sees only that block, so the form is
     sum_k lambda_k |fft(g, 2p)_k|^2 / (2p): one real FFT of length 2p per
     draw (Davies & Harte 1987; Wood & Chan 1994).  This is exact for any
     symmetric circulant extension, so negative lambda_k need no clipping.
     g holds p normals per draw, drawn row by row from the seed's generator
     in batches that do not change the stream.
 
-    The draws have the law of the product Z = g U with
-    U = ``lrd_correlation(p, alpha)``, but not its realization: the same
-    seed and normals give other draws than that product does.
+    The draws have the law of the product Z = g U with U the upper
+    Cholesky factor of ``toeplitz(lrd_correlation(p, alpha))``, but not
+    its realization: the same seed and normals give other draws than that
+    product does.
     """
     if not 0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 1/2), got {alpha}")
@@ -140,8 +144,7 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     n_draws = _count(n_draws, "n_draws", 1)
     if not 0 <= c_star < math.inf:
         raise DomainError(f"c_star must be >= 0 and finite, got {c_star}")
-    rho = _lrd_rho(p, alpha)
-    lam = np.fft.rfft(np.concatenate((rho, [0.0], rho[:0:-1]))).real / (2 * p)
+    lam = _lrd_spectrum(p, alpha)[:p + 1] / (2 * p)
     # the half spectrum stands for bins k and 2p-k, except k = 0 and k = p
     lam[1:p] *= 2.0
     # weights of the squared real and imaginary parts in the float view

@@ -6,16 +6,20 @@ reproducibly from a seed:
 * non-ergodic: rows are a fixed 31-term trigonometric expansion
   ``W(t) = sum_j Z_j phi_j(t) * (e+1)`` evaluated at t = j/p;
 * long-range dependent: rows are N(0, R) with Toeplitz correlation
-  ``rho(k) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2``, H = (2-alpha)/2,
-  drawn through an upper Cholesky factor R = U'U;
+  ``rho(k) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2``, H = (2-alpha)/2
+  (``lrd_correlation``), drawn by circulant embedding: R is the leading
+  block of a length-2p circulant, and one FFT of complex normals scaled
+  by the root of its spectrum gives two rows, so no p x p matrix is
+  formed.  The rows have the law of z U with U the upper Cholesky factor
+  of ``toeplitz(lrd_correlation(p, alpha))``, not its realization;
 * short-range dependent: each row is a stationary stretch of an ARMA(2,3)
   recursion with N(0,1) innovations after a burn-in, computed by a blocked
   state-space filter (two matrix products per block of 32 steps, so the
   Python loop runs over blocks, not time steps).
 
 Only numpy is used: the SRD filter agrees with a direct recursion to a few
-units of rounding, and the LRD Toeplitz matrix and its Cholesky factor are
-numpy's.
+units of rounding, and the LRD rows take numpy's FFT, so no regime's data
+depend on the BLAS thread count.
 
 Seeds may be ints or numpy SeedSequence/Generator objects; identical
 (spec, n, p, seed) produce bit-identical matrices.
@@ -29,7 +33,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, NumericError, ParameterError
 
@@ -160,53 +163,36 @@ def ne_correlation(q: int) -> np.ndarray:
     return cov / np.outer(d, d)
 
 
-def _lrd_rho(p: int, alpha: float) -> np.ndarray:
-    """rho_alpha(0..p-1) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2,
-    H = (2-alpha)/2: the first row of the LRD Toeplitz correlation."""
-    two_h = 2.0 - alpha
-    k = np.arange(p, dtype=float)
-    rho = np.empty(p)
-    rho[0] = 1.0
-    if p > 1:
-        kk = k[1:]
-        rho[1:] = 0.5 * ((kk + 1) ** two_h + (kk - 1) ** two_h - 2 * kk**two_h)
-    return rho
-
-
-@functools.lru_cache(maxsize=6)
 def lrd_correlation(p: int, alpha: float) -> np.ndarray:
-    """Upper Cholesky factor U, read-only, of the p x p Toeplitz correlation
-    R = U'U of the sequence rho_alpha(k), k < p.
+    """The LRD correlation sequence rho_alpha(0..p-1), read-only:
+    rho(k) = ((k+1)^{2H} + (k-1)^{2H} - 2 k^{2H}) / 2 with H = (2-alpha)/2,
+    the first row of the p x p Toeplitz correlation of an LRD row.
 
-    rho(k) ~ C k^{-alpha}; the matrix is positive definite for
-    H = (2-alpha)/2 in (1/2, 1).  A 1e-12 diagonal jitter is retried once
-    if rounding spoils the factorization; NumericError otherwise.  The six
-    most recently used (p, alpha) pairs are cached: the two LRD level
-    configs at their three p values each, which a run cycles through.
+    rho(k) ~ C k^{-alpha}; the Toeplitz matrix is positive definite for
+    H in (1/2, 1).
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if p < 1:
         raise DimensionError("p must be >= 1")
-    rho = _lrd_rho(p, alpha)
-    # row i of the Toeplitz matrix is the window of [rho reversed, rho]
-    # that starts at p-1-i: a read-only view, copied once by the factorization
-    r = sliding_window_view(np.concatenate((rho[:0:-1], rho)), p)[::-1]
-    try:
-        u = np.linalg.cholesky(r, upper=True)
-    except np.linalg.LinAlgError:
-        try:
-            u = np.linalg.cholesky(r + 1e-12 * np.eye(p), upper=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                "Cholesky factorization of the LRD correlation failed even "
-                "with 1e-12 diagonal jitter; matrix is numerically indefinite"
-            ) from exc
-    # Fortran order, the layout LAPACK writes: the layout of u picks the
-    # BLAS kernel of z @ u in generate, and with it the last bits of the data
-    u = np.asfortranarray(u)
-    u.setflags(write=False)
-    return u
+    two_h = 2.0 - alpha
+    k = np.arange(1, p, dtype=float)
+    rho = np.concatenate(
+        ([1.0], 0.5 * ((k + 1) ** two_h + (k - 1) ** two_h - 2 * k**two_h)))
+    rho.setflags(write=False)
+    return rho
+
+
+def _lrd_spectrum(p: int, alpha: float) -> np.ndarray:
+    """Eigenvalues lambda (length 2p) of the symmetric circulant C with first
+    column [rho(0..p), rho(p-1..1)], rho = ``lrd_correlation``.
+
+    The leading p x p block of C is the LRD Toeplitz correlation R, and
+    C = F diag(lambda) F^H / (2p) with F the DFT matrix (Davies & Harte
+    1987; Wood & Chan 1994).
+    """
+    rho = lrd_correlation(p + 1, alpha)
+    return np.fft.fft(np.concatenate((rho, rho[-2:0:-1]))).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -294,7 +280,12 @@ def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
     """An n x p sample of ``spec``'s regime, one i.i.d. row per observation.
 
     * NE: X_i = (W(j/p))_j, j = 1..p, with W the 31-term basis expansion.
-    * LRD: rows are N(0, Toeplitz(rho_alpha)), drawn as z U with R = U'U.
+    * LRD: rows are N(0, Toeplitz(rho_alpha)), drawn by circulant
+      embedding from ``_lrd_spectrum``: the first p entries of the real
+      and the imaginary part of fft(sqrt(lambda / 2p) (z0 + i z1)) for
+      2p-vectors z0, z1 of N(0,1) normals, the real parts first, so
+      ceil(n/2) FFTs give the n rows.  NumericError if the embedding is
+      indefinite beyond rounding.
     * SRD: rows are independent length-p stretches of a stationary
       ARMA(2,q), X_t = a1 X_{t-1} + a2 X_{t-2} + eps_t + b1 eps_{t-1} + ...
       + bq eps_{t-q} with N(0,1) innovations (q = 3 by default), filtered
@@ -308,8 +299,21 @@ def generate(spec: DependenceSpec, n: int, p: int, seed) -> np.ndarray:
         phi = _ne_basis(np.arange(1, p + 1) / p)
         return _NE_WEIGHT * (rng.standard_normal((n, _NE_TERMS)) @ phi)
     if spec.kind == "lrd":
-        u = lrd_correlation(p, spec.alpha)
-        return rng.standard_normal((n, p)) @ u
+        lam = _lrd_spectrum(p, spec.alpha)
+        # Rounding puts lambda as low as -1.7e-7 max(lambda) at p = 2^20
+        # (alpha = 0.03); on alpha in {0.01, ..., 0.99} x p in [2, 65536]
+        # the smallest min/max ratio is +7e-8.  Down to -1e-6 max(lambda)
+        # is rounding and clipped; below that C is not PSD.
+        if lam.min() < -1e-6 * lam.max():
+            raise NumericError(
+                f"LRD circulant embedding is indefinite at p={p}, "
+                f"alpha={spec.alpha} (min eigenvalue {lam.min():.3e})")
+        root = np.sqrt(np.clip(lam, 0.0, None) / (2 * p))
+        z = rng.standard_normal((2, -(-n // 2), 2 * p))
+        # the real and imaginary parts of F diag(root) (z0 + i z1) are two
+        # independent N(0, C) draws; their first p entries are N(0, R)
+        y = np.fft.fft(root * (z[0] + 1j * z[1]))[:, :p]
+        return np.concatenate((y.real, y.imag))[:n]
     eps = rng.standard_normal((n, spec.burn_in + p))
     return _arma_filter(eps, spec.ar, spec.ma, p)
 

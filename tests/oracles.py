@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def objective_direct(pi, y, delta, lam):
@@ -204,6 +205,13 @@ def lrd_rho(alpha, nlags):
     kk = k[1:]
     rho[1:] = 0.5 * ((kk + 1) ** two_h + (kk - 1) ** two_h - 2 * kk**two_h)
     return rho
+
+
+def lrd_cholesky(alpha, p):
+    """Upper Cholesky factor U of the p x p Toeplitz matrix R = U'U of
+    lrd_rho, by scipy: z U with z ~ N(0, I_p) has the law of an LRD row."""
+    return scipy.linalg.cholesky(
+        scipy.linalg.toeplitz(lrd_rho(alpha, p - 1)), lower=False)
 
 
 def gaussian_quadratic_center_sum_variance(rho_row, p):

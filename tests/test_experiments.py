@@ -306,9 +306,8 @@ class TestLevelExperiment:
         assert serial == pooled
 
     def test_lrd_results_do_not_depend_on_blas_threads(self, tmp_path):
-        # the LRD generator's data move in their last bits with the BLAS
-        # thread count (z @ U), and pool workers run BLAS on one thread:
-        # a serial run on two BLAS threads must still give the pool's CSV
+        # pool workers run BLAS on one thread: a serial run on two BLAS
+        # threads must still give the pool's CSV
         ini = tmp_path / "lrd.ini"
         ini.write_text(
             "mode = level\ndependence = lrd\nalpha = 0.1\nn = 100\n"

@@ -13,11 +13,12 @@ from pelhd.limits import (
     sample_lrd_limit,
     sample_ne_limit,
 )
-from pelhd.simulate import lrd_correlation, ne_correlation
+from pelhd.simulate import ne_correlation
 
 from conftest import rng_for
 from oracles import (
     gaussian_quadratic_center_sum_variance,
+    lrd_cholesky,
     lrd_limit_cholesky,
     lrd_limit_dense,
     lrd_rho,
@@ -166,7 +167,7 @@ class TestLrdLimitSampler:
         # 20 000 draws each from unrelated streams: the KS p-value reads 0.63
         alpha, p, n_draws = 0.2, 512, 20_000
         draws = sample_lrd_limit(alpha, p, n_draws, rng_for("lrdlim", 4))
-        reference = lrd_limit_cholesky(lrd_correlation(p, alpha), alpha,
+        reference = lrd_limit_cholesky(lrd_cholesky(alpha, p), alpha,
                                        n_draws, rng_for("lrdlim", 5))
         assert ks_2samp(draws, reference).pvalue >= 0.01
 
@@ -175,7 +176,6 @@ class TestLrdLimitSampler:
         (2048, 1000, 24),  # the benchmark's size: guards the batch size
     ])
     def test_memory_and_no_factor(self, p, n_draws, bound_mb):
-        cached = lrd_correlation.cache_info()
         tracemalloc.start()
         try:
             sample_lrd_limit(0.1, p, n_draws, rng_for("lrdlim", 6))
@@ -183,7 +183,6 @@ class TestLrdLimitSampler:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 2**20
-        assert lrd_correlation.cache_info() == cached
 
     def test_alpha_domain(self):
         for alpha in (0.0, 0.5, 0.7, -0.1):
@@ -211,8 +210,8 @@ class TestLrdLimitSampler:
         """
         alpha = 0.1
         p2, p4 = 2048, 4096
-        u4 = lrd_correlation(p4, alpha)
-        u2 = lrd_correlation(p2, alpha)
+        u4 = lrd_cholesky(alpha, p4)
+        u2 = lrd_cholesky(alpha, p2)
         np.testing.assert_allclose(u4[:p2, :p2], u2, atol=1e-10)
         rng = rng_for("lrdlim", 3)
         q2_parts, q4_parts = [], []

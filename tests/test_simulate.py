@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import scipy.linalg
 import scipy.signal
 from scipy.stats import ks_2samp
 
+from pelhd import simulate
 from pelhd.errors import (
     DimensionError,
     DomainError,
@@ -15,6 +21,7 @@ from pelhd.errors import (
 from pelhd.simulate import (
     DependenceSpec,
     _format_matrix_csv,
+    _lrd_spectrum,
     generate,
     lrd_correlation,
     ne_correlation,
@@ -22,7 +29,12 @@ from pelhd.simulate import (
 )
 
 from conftest import rng_for
-from oracles import arma_autocovariance, lrd_rho, ne_basis_covariance
+from oracles import (
+    arma_autocovariance,
+    lrd_cholesky,
+    lrd_rho,
+    ne_basis_covariance,
+)
 
 E1 = math.e + 1.0
 NE = DependenceSpec.non_ergodic()
@@ -61,21 +73,27 @@ class TestNonErgodic:
             np.sort(x, axis=0), np.sort(shuffled, axis=0))
 
 
+# the shipped LRD level configs' (p, alpha) pairs and the limit sampler's
+# surrogate size
+LRD_PAIRS = [
+    (20, 0.1), (100, 0.1), (400, 0.1), (20, 0.8), (100, 0.8), (400, 0.8),
+    (2048, 0.1), (2048, 0.3),
+]
+
+
 class TestLrdCorrelation:
-    # R = U'U has unit diagonal, so U[0, 0] = 1 and the first row of U is
-    # the first row of R: the correlation sequence rho(0..p-1)
     def test_lag_one_value(self):
-        u = lrd_correlation(10, 0.8)
-        assert u[0, 0] == 1.0
-        assert u[0, 1] == pytest.approx(0.5 * (2**1.2 - 2), abs=1e-12)
+        rho = lrd_correlation(10, 0.8)
+        assert rho[0] == 1.0
+        assert rho[1] == pytest.approx(0.5 * (2**1.2 - 2), abs=1e-12)
 
     def test_matches_direct_formula(self):
-        u = lrd_correlation(64, 0.3)
-        np.testing.assert_allclose(u[0], lrd_rho(0.3, 63), rtol=1e-12)
+        rho = lrd_correlation(64, 0.3)
+        np.testing.assert_allclose(rho, lrd_rho(0.3, 63), rtol=1e-12)
 
     def test_vanishes_as_alpha_approaches_one(self):
-        u = lrd_correlation(6, 1.0 - 1e-9)
-        assert np.max(np.abs(u - np.eye(6))) < 1e-6
+        rho = lrd_correlation(6, 1.0 - 1e-9)
+        assert np.max(np.abs(rho - np.eye(6)[0])) < 1e-6
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
@@ -85,90 +103,40 @@ class TestLrdCorrelation:
         with pytest.raises(DimensionError):
             lrd_correlation(0, 0.5)
 
-    def test_cached_and_read_only(self):
-        u = lrd_correlation(32, 0.4)
-        assert lrd_correlation(32, 0.4) is u
-        assert not u.flags.writeable
+    def test_read_only(self):
+        assert not lrd_correlation(32, 0.4).flags.writeable
 
-    def test_cache_holds_the_lrd_level_configs(self):
-        # the two LRD level configs at p = 20, 100 and 400, cycled as a
-        # Monte Carlo run over them cycles: the second pass only hits
-        pairs = [(p, alpha) for alpha in (0.1, 0.8) for p in (20, 100, 400)]
-        lrd_correlation.cache_clear()
-        try:
-            for _ in range(2):
-                for p, alpha in pairs:
-                    lrd_correlation(p, alpha)
-            assert lrd_correlation.cache_info().hits == 6
-        finally:
-            lrd_correlation.cache_clear()
+    @pytest.mark.parametrize("p, alpha", LRD_PAIRS)
+    def test_spectrum_embeds_the_correlation(self, p, alpha):
+        # the circulant with eigenvalues lambda has first column ifft(lambda),
+        # whose first p entries are the first row of R
+        lam = _lrd_spectrum(p, alpha)
+        assert lam.shape == (2 * p,)
+        np.testing.assert_allclose(np.fft.ifft(lam)[:p].real,
+                                   lrd_rho(alpha, p - 1), rtol=0, atol=1e-13)
+        assert lam.min() >= -1e-6 * lam.max()
 
-    def test_cholesky_reconstructs(self):
-        u = lrd_correlation(80, 0.5)
-        r = scipy.linalg.toeplitz(lrd_rho(0.5, 79))
-        np.testing.assert_allclose(u.T @ u, r, atol=1e-8)
-        assert np.allclose(np.tril(u, -1), 0.0)
-
-    @pytest.mark.parametrize("p, alpha", [
-        (20, 0.1), (100, 0.1), (400, 0.1), (20, 0.8), (100, 0.8), (400, 0.8),
-        (2048, 0.1), (2048, 0.3),
-    ])
-    def test_cholesky_equals_scipy_bit_for_bit(self, p, alpha):
-        # the shipped configs' pairs and the limit samplers' surrogate size
-        expect = scipy.linalg.cholesky(
-            scipy.linalg.toeplitz(lrd_rho(alpha, p - 1)), lower=False)
-        np.testing.assert_array_equal(lrd_correlation(p, alpha), expect)
-        z = np.random.default_rng(5).standard_normal((50, p))
-        np.testing.assert_array_equal(
-            generate(DependenceSpec.long_range(alpha), 50, p, 5), z @ expect)
+    @pytest.mark.parametrize("p, alpha", LRD_PAIRS)
+    def test_rows_have_the_law_of_the_cholesky_product(self, p, alpha):
+        # row sums and squared norms of 2000 rows each side, from unrelated
+        # streams, against z U with the scipy factor R = U'U
+        n = 2000
+        x = generate(DependenceSpec.long_range(alpha), n, p,
+                     rng_for("lrdlaw", p, 0))
+        z = (rng_for("lrdlaw", p, 1).standard_normal((n, p))
+             @ lrd_cholesky(alpha, p))
+        assert ks_2samp(x.sum(axis=1), z.sum(axis=1)).pvalue >= 0.01
+        assert ks_2samp(np.sum(x**2, axis=1),
+                        np.sum(z**2, axis=1)).pvalue >= 0.01
 
     def test_power_law_decay(self):
         alpha = 0.8
-        rho = lrd_correlation(500, alpha)[0]
+        rho = lrd_correlation(500, alpha)
         k = np.arange(50, 500)
         scaled = rho[50:] * k**alpha
         assert np.all(scaled > 0)
         mid = np.median(scaled)
         assert np.max(np.abs(scaled / mid - 1)) < 0.10
-
-
-@pytest.fixture
-def failing_cholesky(monkeypatch):
-    """Install an np.linalg.cholesky whose first ``k`` calls raise
-    LinAlgError: ``failing_cholesky(k)`` returns the list of matrices it is
-    called with.  lrd_correlation's cache is cleared around the test."""
-    real = np.linalg.cholesky
-
-    def install(k):
-        calls = []
-
-        def cholesky(a, *args, **kwargs):
-            calls.append(np.array(a))
-            if len(calls) <= k:
-                raise np.linalg.LinAlgError("not positive definite")
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        return calls
-
-    lrd_correlation.cache_clear()
-    yield install
-    lrd_correlation.cache_clear()
-
-
-class TestLrdCholeskyFailure:
-    def test_jitter_retry_factors_the_jittered_matrix(self, failing_cholesky):
-        calls = failing_cholesky(1)
-        u = lrd_correlation(12, 0.3)
-        first, retried = calls
-        np.testing.assert_array_equal(retried, first + 1e-12 * np.eye(12))
-        np.testing.assert_allclose(u.T @ u, retried, atol=1e-12)
-
-    def test_second_failure_raises_numeric_error(self, failing_cholesky):
-        calls = failing_cholesky(2)
-        with pytest.raises(NumericError, match="jitter"):
-            lrd_correlation(12, 0.3)
-        assert len(calls) == 2
 
 
 class TestGenLrd:
@@ -190,6 +158,44 @@ class TestGenLrd:
         emp = np.corrcoef(x, rowvar=False)
         np.fill_diagonal(emp, 0.0)
         assert np.max(np.abs(emp)) < 0.05
+
+    def test_memory(self):
+        # 2p normals and a complex FFT of length 2p per two rows; the
+        # product with a Cholesky factor, a p x p matrix, peaked at 245 MB
+        tracemalloc.start()
+        try:
+            generate(DependenceSpec.long_range(0.1), 200, 4000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_indefinite_embedding_raises_numeric_error(self, monkeypatch):
+        # rho(1) = 0.9, rho(2) = -0.9: the length-4 circulant [1, .9, -.9, .9]
+        # has eigenvalues 1.9, 1.9, 1.9 and -1.7
+        monkeypatch.setattr(
+            simulate, "lrd_correlation",
+            lambda p, alpha: np.array([1.0, 0.9, -0.9])[:p])
+        with pytest.raises(NumericError, match="indefinite"):
+            generate(DependenceSpec.long_range(0.5), 4, 2, 0)
+
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        # the six shipped LRD (p, alpha) pairs; the FFT draws call no BLAS
+        # kernel, whose choice, and last bits, follow the thread count
+        code = (
+            "import sys; from pelhd.simulate import DependenceSpec, generate\n"
+            "for alpha in (0.1, 0.8):\n"
+            "    for p in (20, 100, 400):\n"
+            "        spec = DependenceSpec.long_range(alpha)\n"
+            "        x = generate(spec, 200, p, p)\n"
+            "        sys.stdout.buffer.write(x.tobytes())\n")
+        out = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            cwd=Path(simulate.__file__).resolve().parents[1]).stdout
+            for threads in ("1", "2")]
+        assert len(out[0]) == 8 * 200 * 2 * (20 + 100 + 400)
+        assert out[0] == out[1]
 
     def test_row_covariance_exact(self):
         # entrywise 3/sqrt(n) is a ~2 sigma band per entry, so the seed is
