@@ -159,7 +159,7 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
             buf = np.empty((hi - lo, m, p))
         return _block_ytil(windows[lo:hi], centred[lo:hi], buf[:hi - lo])
 
-    stats, iters, ok, res, _ = _solve_blocks(
+    stats, iters, ok, res, _, _ = _solve_blocks(
         ytil_of, n_blocks, m, p, cfg.penalty(m, p), cfg)
     failed = np.flatnonzero(~ok)
     for b in failed:

@@ -29,21 +29,24 @@ back, so no matrix is copied per iteration and a stack holds
 BLOCK_CHUNK_ELEMENTS // (n+1)^2 problems; above that G, of rank at most p,
 is never formed, the stack is the n x p factors sqrt(2 lambda) Ytil, and a
 step goes through a p x p capacitance matrix in O(n p^2) time.  Memory
-therefore grows with n min(n, p).  Newton starts each problem from a
-predictor: the uniform weights 1/n, or one inexact Newton step from them
-that takes only products with G and no linear solve, kept where it stays
-positive and lowers the KKT residual (see ``_predictor``); the iteration
-counts reported count Newton steps only, not the predictor.  Once the
-squared Newton decrement -g'd is below 1/16 the step is in the
-pure-Newton phase of this self-concordant objective and is taken in full,
-so convergence does not hinge on comparing objective values that differ
-by less than their rounding; larger steps backtrack to an Armijo
-decrease.  A problem leaves the stack once its KKT residual is below
-``newton_tol``; one that Newton leaves unconverged is reported as such.
+therefore grows with n min(n, p).  Newton starts each problem where a
+predictor phase leaves it: from the uniform weights 1/n, up to
+PREDICTOR_STEPS inexact Newton steps that take only products with G and
+no linear solve, each kept only where it stays positive and cuts the KKT
+residual to at most PREDICTOR_CONTRACTION times the one before (see
+``_predictor``).  A problem the phase certifies leaves without a linear
+solve.  The iteration counts reported, and ``max_newton_iters``, count
+Newton steps only, not predictor steps.  Once the squared Newton
+decrement -g'd is below 1/16 the step is in the pure-Newton phase of this
+self-concordant objective and is taken in full, so convergence does not
+hinge on comparing objective values that differ by less than their
+rounding; larger steps backtrack to an Armijo decrease.  A problem
+leaves the stack once its KKT residual is below ``newton_tol``; one that
+Newton leaves unconverged is reported as such.
 The builder logs one DEBUG record on this module's logger per run of
 problems, a full sample or a curve: its path, shape, problem and stack
-counts, total and largest iteration count, failed problems and largest
-residual.
+counts, the problems certified without a linear solve, total and largest
+iteration count, failed problems and largest residual.
 """
 
 from __future__ import annotations
@@ -62,6 +65,20 @@ logger = logging.getLogger(__name__)
 # the self-concordant objective (Boyd & Vandenberghe 9.6.4): the full step
 # stays feasible and passes the Armijo test, so it is taken untested.
 FULL_STEP_DECREMENT = 1.0 / 16.0
+# The matvec-only predictor phase (``_predictor``) keeps a step only where
+# it cuts the KKT residual to at most PREDICTOR_CONTRACTION times the one
+# before, and takes at most PREDICTOR_STEPS steps a problem.  Measured on
+# replicates 0 and 1 of every cell of table1_{srd,lrd08,lrd01,ne} and of
+# table3_power_srd (one BLAS thread, 2-core x86 host, median of 7 runs):
+# with 12 steps, fractions 0.25 / 0.5 / 0.75 / 1 took 672 / 666 / 689 /
+# 685 ms on the level cells and 273 / 247 / 258 / 244 ms on the power
+# cells, and 0.1 doubled the power cells' Newton steps.  0.5 is the
+# smallest fraction at the fast end, so a kept step at least halves the
+# residual.  With 12 steps every block of the six curves of replicate 0
+# of table1_srd at p = 100 and 400 is certified without a linear solve;
+# with 8 steps they take 2 batched KKT solves, with 6 steps 6.
+PREDICTOR_CONTRACTION = 0.5
+PREDICTOR_STEPS = 12
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO = 1e-4
 # Problems with n > LOWRANK_RATIO * p take Newton steps through the n x p
@@ -121,7 +138,9 @@ class PelConfig:
     set as ``c_star * n / p``.  Tolerances follow the statistic's use in
     log-scale comparisons: the KKT residual (max-norm of the gradient
     projected onto the simplex tangent space) must drop below
-    ``newton_tol`` within ``max_newton_iters`` Newton iterations.
+    ``newton_tol`` within ``max_newton_iters`` Newton iterations, which
+    bounds the steps that solve a linear system and not the predictor
+    steps before them.
     """
 
     c_star: float = 1.0
@@ -150,7 +169,12 @@ class PelConfig:
 
 @dataclass(frozen=True)
 class PelSolution:
-    """Optimal simplex weights and the statistic K_n = -log R_n(mu)."""
+    """Optimal simplex weights and the statistic K_n = -log R_n(mu).
+
+    ``iterations`` counts Newton steps, each of which solves a linear
+    system; the matvec-only predictor steps before them are not counted,
+    so a problem the predictor certifies has 0.
+    """
 
     pi: np.ndarray
     stat: float
@@ -230,7 +254,10 @@ def _criterion(pi, gpi):
 
 
 def _matvec(a, v):
-    """Row-wise products a[b] @ v[b] of a (B, n, k) and a (B, k) stack."""
+    """Row-wise products a[b] @ v[b] of a (B, n, k) stack and a (B, k)
+    or (B, k, j) one."""
+    if v.ndim == 3:
+        return np.matmul(a, v)
     return np.matmul(a, v[:, :, None])[:, :, 0]
 
 
@@ -397,37 +424,56 @@ def _residual(x, gpi):
     return grad, np.max(np.abs(centred), axis=1)
 
 
-def _predictor(lin):
-    """Where Newton starts each row: the uniform weights x0 = 1/n or one
-    inexact Newton step from them (Dembo, Eisenstat & Steihaug 1982).
+def _predictor(lin, tol):
+    """Where Newton starts each row: the uniform weights x0 = 1/n, moved
+    by up to PREDICTOR_STEPS inexact Newton steps that take only products
+    with G and no linear solve (Dembo, Eisenstat & Steihaug 1982).
 
-    At x0 the Hessian is n^2 I + G, and G is small next to n^2 I in most
-    problems, so the two-term Neumann series n^-2 (I - G/n^2) stands in
-    for its inverse.  With g0 the gradient at x0,
+    At x the Hessian is P^-1 (I + PGP) P^-1 with P = diag(x), and PGP is
+    small next to I in most problems, so the two-term Neumann series
+    M = P (I - PGP) P stands in for its inverse.  With g the gradient at
+    x and M r = x^2 (r - G (x^2 r)),
 
-        v = g0 - G g0 / n^2,  w = 1 - G x0 / n  (= (I - G/n^2) 1),
-        nu = -sum v / sum w,  x1 = x0 - (v + nu w) / n^2,
+        v = M g,  w = M 1,  nu = -sum v / sum w,  x' = x - (v + nu w),
 
-    and x1 is renormalized to sum to 1, as a Newton iterate is.  A row
-    keeps x1 only where x1 > 0 and its KKT residual at x1 is below that
-    at x0; every other row, a non-finite one included, keeps x0.  The step
-    costs two products with G beyond the G x0 that a start at x0 needs,
-    and no linear solve.  Returns (x, G x), one row per problem.
+    and x' is renormalized to sum to 1, as a Newton iterate is.  A row
+    keeps x' only where x' > 0 and its KKT residual at x' is at most
+    PREDICTOR_CONTRACTION times that at x.  A row leaves the phase at its
+    first rejected step, a non-finite one included, once its residual is
+    below ``tol`` or after PREDICTOR_STEPS kept steps.  A step costs two
+    passes over G, one product with the pair (x^2 g, x^2) for M and one
+    for G x'.  It is computed for the whole stack and masked, so G is
+    never copied for a subset of rows and each row moves as it would
+    alone.  Returns (x, G x, steps), one row or entry per problem,
+    ``steps`` counting the kept steps.
     """
     n = lin.n
-    x0 = np.full((len(lin.mat), n), 1.0 / n)
-    gpi0 = lin.matvec(x0)
-    grad0, res0 = _residual(x0, gpi0)
+    x = np.full((len(lin.mat), n), 1.0 / n)
+    gpi = lin.matvec(x)
+    grad, res = _residual(x, gpi)
+    steps = np.zeros(len(x), dtype=int)
+    active = res >= tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = grad0 - lin.matvec(grad0) / n**2
-        w = 1.0 - gpi0 / n
-        nu = -v.sum(axis=1) / w.sum(axis=1)
-        x1 = x0 - (v + nu[:, None] * w) / n**2
-        x1 /= x1.sum(axis=1, keepdims=True)
-        gpi1 = lin.matvec(x1)
-        keep = np.all(x1 > 0, axis=1) & (_residual(x1, gpi1)[1] < res0)
-    keep = keep[:, None]
-    return np.where(keep, x1, x0), np.where(keep, gpi1, gpi0)
+        for _ in range(PREDICTOR_STEPS):
+            if not active.any():
+                break
+            x2 = x * x
+            g_pair = lin.matvec(np.stack((x2 * grad, x2), axis=2))
+            v = x2 * (grad - g_pair[:, :, 0])
+            w = x2 * (1.0 - g_pair[:, :, 1])
+            nu = -v.sum(axis=1) / w.sum(axis=1)
+            x1 = x - (v + nu[:, None] * w)
+            x1 /= x1.sum(axis=1, keepdims=True)
+            gpi1 = lin.matvec(x1)
+            grad1, res1 = _residual(x1, gpi1)
+            keep = (active & np.all(x1 > 0, axis=1)
+                    & (res1 <= PREDICTOR_CONTRACTION * res))
+            for old, new in ((x, x1), (gpi, gpi1), (grad, grad1)):
+                old[keep] = new[keep]
+            res[keep] = res1[keep]
+            steps += keep
+            active = keep & (res1 >= tol)
+    return x, gpi, steps
 
 
 def _newton(lin, cfg: PelConfig):
@@ -441,22 +487,23 @@ def _newton(lin, cfg: PelConfig):
     the Newton steps (``step``), and gives the problems' size ``n`` and,
     as built, which G_b are nonzero (``penalized``).  This loop drops the
     rows that leave the stack from ``mat``, in one indexing operation.
-    Every row starts where ``_predictor`` puts it, from the uniform
-    weights 1/n, and G x at the start comes from the predictor too; the
-    iteration counts returned are Newton steps and do not count the
-    predictor, so a row it certifies has 0.  Both kinds share this
-    loop, its step rule and its stopping rule; each iteration takes the
-    Newton steps of the rows still active in one batched call.  A row
-    leaves the stack once its KKT residual is below ``newton_tol``
-    (converged) or its step fails: a singular system, a non-finite
-    decrement or a line search that gave out.  Its criterion is evaluated
+    Every row starts where ``_predictor`` leaves it, and G x at the start
+    comes from the predictor too.  The iteration counts returned are
+    Newton steps, each with a linear solve, and ``max_newton_iters``
+    bounds them alone: a row the predictor certifies retires at iteration
+    0, and the predictor's kept steps come back as their own count.  Both
+    kinds share this loop, its step rule and its stopping rule; each
+    iteration takes the Newton steps of the rows still active in one
+    batched call.  A row leaves the stack once its KKT residual is below
+    ``newton_tol`` (converged) or its step fails: a singular system, a
+    non-finite decrement or a line search that gave out.  Its criterion is evaluated
     as it leaves, from the x and G x in hand.  A tiny negative is snapped
     to 0, and a row whose G is zero (lambda = 0 or every delta = 0) has no
     penalty: the uniform weights are optimal and K_n is exactly 0.
 
-    Returns (pi, stat, iterations, converged, residual), one entry per row;
-    where ``converged`` is False, ``pi`` is the best iterate and ``stat``
-    is not a statistic.
+    Returns (pi, stat, iterations, converged, residual, predictor steps),
+    one entry per row; where ``converged`` is False, ``pi`` is the best
+    iterate and ``stat`` is not a statistic.
     """
     n_rows, n = len(lin.mat), lin.n
     max_iters = cfg.max_newton_iters
@@ -465,7 +512,7 @@ def _newton(lin, cfg: PelConfig):
     residual = np.full(n_rows, np.inf)
     pi, stat = np.empty((n_rows, n)), np.empty(n_rows)
     rows = np.arange(n_rows)
-    x, gpi = _predictor(lin)
+    x, gpi, steps = _predictor(lin, cfg.newton_tol)
 
     def retire(mask, it, *arrays):
         """Record the rows in ``mask`` as finished at iteration ``it`` with
@@ -504,7 +551,7 @@ def _newton(lin, cfg: PelConfig):
         gpi = lin.matvec(x)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
     stat[~lin.penalized] = 0.0
-    return pi, stat, iterations, converged, residual
+    return pi, stat, iterations, converged, residual, steps
 
 
 def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
@@ -523,22 +570,24 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     written.
 
     Logs one DEBUG record for the whole run: the path, n, p, the number
-    of problems and of stacks, the total and the largest iteration count,
-    the number of problems Newton left unconverged and the largest
-    residual.
+    of problems and of stacks, the number certified without a linear
+    solve (by the predictor, at Newton iteration 0), the total and the
+    largest iteration count, the number of problems Newton left
+    unconverged and the largest residual.
 
-    Returns (stat, iterations, converged, residual), one entry per problem
-    as from ``_newton``, then the weights of the last problem.  Only the
-    last weights are kept: ``solve_pel`` has one problem, and a curve that
-    kept the weights of all its n - m + 1 blocks would hold memory that
-    grows with n m.
+    Returns (stat, iterations, converged, residual, predictor steps), one
+    entry per problem as from ``_newton``, then the weights of the last
+    problem.  Only the last weights are kept: ``solve_pel`` has one
+    problem, and a curve that kept the weights of all its n - m + 1 blocks
+    would hold memory that grows with n m.
     """
     kind = _LowRankStep if n > LOWRANK_RATIO * p else _GramStep
     per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((n + 1) * (n + 1 + p)))
     per_stack = (per_slice if kind is _LowRankStep
                  else max(1, BLOCK_CHUNK_ELEMENTS // (n + 1) ** 2))
     out = (np.empty(n_blocks), np.empty(n_blocks, dtype=int),
-           np.empty(n_blocks, dtype=bool), np.empty(n_blocks))
+           np.empty(n_blocks, dtype=bool), np.empty(n_blocks),
+           np.empty(n_blocks, dtype=int))
     for lo in range(0, n_blocks, per_stack):
         hi = min(lo + per_stack, n_blocks)
         if kind is _LowRankStep:
@@ -553,12 +602,13 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
         pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part
-    _, iters, ok, res = out
+    _, iters, ok, res, _ = out
     logger.debug(
-        "newton: path=%s n=%d p=%d problems=%d stacks=%d iterations=%d "
-        "max_iterations=%d failed=%d max_residual=%.3e", kind.name, n, p,
-        n_blocks, math.ceil(n_blocks / per_stack), iters.sum(), iters.max(),
-        n_blocks - ok.sum(), res.max())
+        "newton: path=%s n=%d p=%d problems=%d stacks=%d "
+        "certified_without_solve=%d iterations=%d max_iterations=%d "
+        "failed=%d max_residual=%.3e", kind.name, n, p, n_blocks,
+        math.ceil(n_blocks / per_stack), np.sum(ok & (iters == 0)),
+        iters.sum(), iters.max(), n_blocks - ok.sum(), res.max())
     return (*out, pi[-1])
 
 
@@ -579,12 +629,14 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     PelSolution
         Unique minimizer (strict convexity), the statistic, and solver
         diagnostics.  Raises ConvergenceError, carrying Newton's best
-        weights and residual, if Newton does not reach ``newton_tol``.
+        weights and residual, if Newton does not reach ``newton_tol``
+        within ``max_newton_iters`` Newton steps; its message counts those
+        steps, not the predictor's.
     """
     n, p = data.n, data.p
     mu = _checked_mu(mu, p)
     ytil = (data.values - mu) * np.sqrt(data.delta)
-    stat, iters, ok, res, pi = _solve_blocks(
+    stat, iters, ok, res, _, pi = _solve_blocks(
         lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
     res = float(res[0])
     if not ok[0]:

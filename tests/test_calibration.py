@@ -622,7 +622,8 @@ class TestStackedBlockSolves:
         residual = max(sol.kkt_residual for sol in sols)
         assert records == [
             f"newton: path={path} n={m} p={p} problems={n - m + 1} "
-            f"stacks={stacks} iterations={sum(iters)} "
+            f"stacks={stacks} certified_without_solve={iters.count(0)} "
+            f"iterations={sum(iters)} "
             f"max_iterations={max(iters)} failed={curve.n_failed} "
             f"max_residual={residual:.3e}"]
 

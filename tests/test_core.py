@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pelhd import core
 from pelhd.calibration import build_curve_ne
 from pelhd.core import (
     PelConfig,
@@ -13,7 +14,6 @@ from pelhd.core import (
     _LowRankStep,
     _kkt_solve,
     _newton,
-    _predictor,
     _solve_blocks,
     compute_column_stats,
     solve_pel,
@@ -87,18 +87,20 @@ def stress_table(start, stop):
 
     Columns: outcome (solved or raised), K_n (nan if raised), Newton
     iterations, the KKT residual, eps * max|gradient| at the returned
-    weights, and eps * max(1/pi + 2 lambda |Ytil| |Ytil|' pi), a bound on
-    the rounding error of the gradient itself; a residual below
-    ``newton_tol`` is decided by rounding where that floor exceeds it.
+    weights, eps * max(1/pi + 2 lambda |Ytil| |Ytil|' pi), a bound on
+    the rounding error of the gradient itself (a residual below
+    ``newton_tol`` is decided by rounding where that floor exceeds it),
+    and the predictor steps taken before Newton.
     """
     eps = np.finfo(float).eps
-    print("k kind n p outcome K_n iterations residual eps_max_grad floor")
+    print("k kind n p outcome K_n iterations residual eps_max_grad floor "
+          "predictor_steps")
     for k in range(start, stop):
         x, mu, c_star, lam = stress_instance(k)
         cfg = PelConfig(c_star=c_star, lam=lam)
         lam = cfg.penalty(*x.shape)
         ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
-        stat, iters, ok, res, pi = _solve_blocks(
+        stat, iters, ok, res, steps, pi = _solve_blocks(
             lambda lo, hi: ytil[None], 1, *x.shape, lam, cfg)
         grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
         floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
@@ -106,7 +108,7 @@ def stress_table(start, stop):
               f"{'solved' if ok[0] else 'raised'} "
               f"{float(stat[0]) if ok[0] else float('nan')!r} {iters[0]} "
               f"{res[0]:.3e} {eps * np.max(np.abs(grad)):.3e} "
-              f"{eps * np.max(floor):.3e}")
+              f"{eps * np.max(floor):.3e} {steps[0]}")
 
 
 def random_instance(rng, n=None, p=None):
@@ -267,7 +269,7 @@ class TestSolvePel:
         ytil[1, 0, 0] = np.inf
         cfg = PelConfig()
         with np.errstate(invalid="ignore"):
-            _, stat, _, ok, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
+            _, stat, _, ok, _, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
         assert ok.tolist() == [True, False, True]
         alone = _newton(_LowRankStep(ytil[[0, 2]], 2.0), cfg)[1]
         np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
@@ -275,7 +277,7 @@ class TestSolvePel:
         # step, and Newton ends on the retirement of the failed rows
         ytil[:, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            pi, _, iters, ok, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
+            pi, _, iters, ok, _, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
         assert ok.tolist() == [False, False, False]
         assert iters.tolist() == [0, 0, 0]
         np.testing.assert_array_equal(pi, 1.0 / 30)
@@ -337,6 +339,17 @@ def gram_step(ytil, lam):
     return _GramStep(mat, lam)
 
 
+def solve_one(data, mu, cfg):
+    """(K_n, Newton iterations, predictor steps) of one problem, solved as
+    ``solve_pel`` solves it; the solve must be certified."""
+    n, p = data.n, data.p
+    ytil = (data.values - mu) * np.sqrt(data.delta)
+    stat, iters, ok, _, steps, _ = _solve_blocks(
+        lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
+    assert ok[0]
+    return stat[0], iters[0], steps[0]
+
+
 def srd_instance(key, n, p):
     x = generate(DependenceSpec.short_range_arma(), n, p, rng_for(*key))
     return compute_column_stats(x), np.full(p, 0.1)
@@ -350,11 +363,11 @@ class TestStepPaths:
     def test_full_sample_matches_dense_reference(self, n, p):
         data, mu = srd_instance(("paths", n, p), n, p)
         cfg = PelConfig()
-        sol = solve_pel(data, mu, cfg)
-        want, iters = dense_newton(data.values - mu, data.delta,
-                                   cfg.penalty(n, p))
-        assert sol.stat == pytest.approx(want, rel=1e-12, abs=0)
-        assert sol.iterations == iters
+        stat, iters, steps = solve_one(data, mu, cfg)
+        want, *counts = dense_newton(data.values - mu, data.delta,
+                                     cfg.penalty(n, p))
+        assert stat == pytest.approx(want, rel=1e-12, abs=0)
+        assert [iters, steps] == counts
 
     def test_curve_blocks_match_dense_reference(self):
         # m = 32 > p = 20: every block of the curve takes the low-rank step
@@ -364,11 +377,11 @@ class TestStepPaths:
         curve = build_curve_ne(data, mu, m, cfg)
         for i in range(n - m + 1):
             block = compute_column_stats(data.values[i:i + m])
-            want, iters = dense_newton(block.values - mu, block.delta,
-                                       cfg.penalty(m, p))
+            want, *counts = dense_newton(block.values - mu, block.delta,
+                                         cfg.penalty(m, p))
             assert curve.block_stats[i] == pytest.approx(want, rel=1e-12,
                                                          abs=0), i
-            assert solve_pel(block, mu, cfg).iterations == iters, i
+            assert list(solve_one(block, mu, cfg)[1:]) == counts, i
 
     def test_memory_grows_with_n_times_p(self):
         # an (n+1)^2 KKT matrix alone would take 72 MB here
@@ -412,51 +425,77 @@ class TestStepPaths:
         sol = solve_pel(data, mu, PelConfig())
         assert caplog.messages == [
             f"newton: path={path} n={n} p={p} problems=1 stacks=1 "
+            f"certified_without_solve={int(sol.iterations == 0)} "
             f"iterations={sol.iterations} max_iterations={sol.iterations} "
             f"failed=0 max_residual={sol.kkt_residual:.3e}"]
 
 
 class TestPredictor:
-    """The matvec-only predictor step that Newton starts from."""
+    """The matvec-only predictor phase that Newton starts from."""
 
     @pytest.mark.parametrize("path", [gram_step, _LowRankStep],
                              ids=["gram", "lowrank"])
     def test_rows_solve_as_they_do_alone(self, path):
-        """A far-mu row, whose predictor is rejected, stacked with null
-        rows, whose predictors are kept: each row's statistic and Newton
-        step count are those of the row solved alone."""
-        b, n, p = 4, 24, 12
-        x = rng_for("predictor", 0).normal(size=(b, n, p))
-        mu = np.zeros((b, p))
-        mu[1] = 30.0
-        ytil = (x - mu[:, None, :]) / x.std(axis=1, keepdims=True)
+        """One stack of three kinds of row: one the predictor certifies,
+        one that leaves it after kept steps and needs Newton, and a far-mu
+        row whose first predictor step is rejected.  Each row's statistic,
+        Newton step count and predictor step count are those of the row
+        solved alone."""
+        n, p = 24, 12
+        x = rng_for("predictor", 0).normal(size=(3, n, p))
+        shift = np.array([0.02, 0.5, 30.0])
+        ytil = ((x - x.mean(axis=1, keepdims=True))
+                / x.std(axis=1, keepdims=True) - shift[:, None, None])
         lam, cfg = n / p, PelConfig()
-        start, _ = _predictor(path(ytil, lam))
-        kept = ~np.all(start == 1.0 / n, axis=1)
-        assert kept.tolist() == [True, False, True, True]
-        _, stat, iters, ok, _ = _newton(path(ytil, lam), cfg)
+        _, stat, iters, ok, _, steps = _newton(path(ytil, lam), cfg)
         assert ok.all()
-        for i in range(b):
-            _, alone, its, _, _ = _newton(path(ytil[i:i + 1], lam), cfg)
-            assert iters[i] == its[0], i
-            assert stat[i] == alone[0], i
+        assert steps[0] > 0 and iters[0] == 0
+        assert steps[1] > 0 and iters[1] > 0
+        assert steps[2] == 0 and iters[2] > 0
+        for i in range(len(ytil)):
+            _, alone, its, _, _, st = _newton(path(ytil[i:i + 1], lam), cfg)
+            assert (stat[i], iters[i], steps[i]) == (alone[0], its[0],
+                                                     st[0]), i
+
+    @staticmethod
+    def table1_srd(p):
+        """The table1_srd cell of dimension p and its replicate 0."""
+        cfg = next(c for c in load_experiment_configs(
+            (CONFIGS / "table1_srd.ini").read_text()) if c.p == p)
+        x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, 0))
+        return cfg, compute_column_stats(x)
 
     def test_srd_curve_takes_fewer_steps(self, caplog):
         """Block curve m = 27 of replicate 0 of the table1_srd cell p = 100
         (c0 = 1): started at the uniform weights, every block took 4
-        Newton steps; from the predictor they take about 3."""
-        cfg = next(c for c in load_experiment_configs(
-            (CONFIGS / "table1_srd.ini").read_text()) if c.p == 100)
+        Newton steps; after the predictor every block is certified without
+        a Newton step."""
+        cfg, data = self.table1_srd(100)
         m = cfg.subsample_sizes()[cfg.m_rules.index(("ergodic", 1.0))]
         assert (cfg.n, m) == (200, 27)
-        x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, 0))
         caplog.set_level(logging.DEBUG, logger="pelhd.core")
-        build_curve_ne(compute_column_stats(x), np.zeros(cfg.p), m,
-                       cfg.pel_config())
+        build_curve_ne(data, np.zeros(cfg.p), m, cfg.pel_config())
         (record,) = caplog.messages
         fields = dict(f.split("=") for f in record.split()[1:])
         assert int(fields["problems"]) == cfg.n - m + 1
-        assert int(fields["iterations"]) / int(fields["problems"]) <= 3.5
+        assert fields["certified_without_solve"] == fields["problems"]
+
+    def test_srd_curves_solve_no_linear_system(self, monkeypatch):
+        """The three curves (m = 22, 43, 86, all on the Gram path) of
+        replicate 0 of the table1_srd cell p = 400 solve no KKT system:
+        the predictor certifies every block."""
+        cfg, data = self.table1_srd(400)
+        solved = []
+
+        def counted(kkt, rhs):
+            solved.append(len(kkt))
+            return _kkt_solve(kkt, rhs)
+
+        monkeypatch.setattr(core, "_kkt_solve", counted)
+        for m in cfg.subsample_sizes():
+            curve = build_curve_ne(data, np.zeros(cfg.p), m, cfg.pel_config())
+            assert curve.n_failed == 0, m
+        assert solved == []
 
 
 class TestStatisticProperties:
