@@ -86,11 +86,12 @@ def subsample_size(n: int, p: int, alpha0: float = 0.5, c0: float = 1.0,
     rule="ergodic": m = round(c0 * max((n p)^(a/(1+a)), n^(1/3))) with
     a = min(alpha0, 1/2); a = 1/2 reduces to the short-range choice
     c0 * (n p)^(1/3).  rule="ne-cuberoot" / "ne-sqrt": m = round(c0 * n^(1/3))
-    or round(c0 * sqrt(n)).  The result is clamped to [2, n-1].  This is
-    the one check of the rule name and of c0 (finite and positive).
+    or round(c0 * sqrt(n)).  The result is clamped to [2, n-1], so n must
+    be at least 3.  This is the one check of the rule name and of c0
+    (finite and positive).
     """
-    if n < 2 or p < 2:
-        raise DimensionError("need n, p >= 2")
+    if n < 3 or p < 2:
+        raise DimensionError(f"need n >= 3 and p >= 2, got n={n}, p={p}")
     if not 0 < c0 < math.inf:
         raise DomainError(f"c0 must be positive and finite, got {c0}")
     if rule == "ergodic":
@@ -129,10 +130,11 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
 
     The blocks are solved by ``core._solve_blocks``, the builder that also
     serves ``solve_pel``; it cuts them into Newton stacks under the element
-    budget ``core.BLOCK_CHUNK_ELEMENTS``, asks ``_block_ytil`` for the
-    standardized data of a slice of blocks at a time, and logs the curve's
-    one DEBUG record on the ``pelhd.core`` logger.  X - mu0 is formed once
-    for the curve, and every slice is standardized in one scratch buffer.
+    budget ``core.BLOCK_CHUNK_ELEMENTS``, has ``_block_ytil`` write the
+    standardized data of a slice of blocks at a time into the one scratch
+    buffer it allocates for the curve, and logs the curve's one DEBUG
+    record on the ``pelhd.core`` logger.  X - mu0 is formed once for the
+    curve.
     Failed block solves are recorded as NaN, each with a WARNING;
     NumericError above the 1% tolerance (isolated failures must not
     silently bias the quantiles).
@@ -151,16 +153,9 @@ def _block_statistics(data: DataMatrix, mu0, m: int, cfg: PelConfig):
         sliding_window_view(x, m, axis=0).transpose(0, 2, 1)
         for x in (data.values, data.values - mu0))
     n_blocks = len(windows)
-    buf = np.empty((0, m, p))
-
-    def ytil_of(lo, hi):
-        nonlocal buf
-        if len(buf) < hi - lo:
-            buf = np.empty((hi - lo, m, p))
-        return _block_ytil(windows[lo:hi], centred[lo:hi], buf[:hi - lo])
-
     stats, iters, ok, res, _, _ = _solve_blocks(
-        ytil_of, n_blocks, m, p, cfg.penalty(m, p), cfg)
+        lambda lo, hi, out: _block_ytil(windows[lo:hi], centred[lo:hi], out),
+        n_blocks, m, p, cfg.penalty(m, p), cfg)
     failed = np.flatnonzero(~ok)
     for b in failed:
         logger.warning("block %d/%d failed: residual %.3e after %d iterations",

@@ -15,32 +15,34 @@ One Newton kernel, ``_newton``, finds it for a stack of B same-shape
 problems at once and is the one function from a stack to its statistics;
 one builder, ``_solve_blocks``, cuts a run of problems into stacks:
 ``solve_pel`` passes the full sample as a run of one, the subsampling
-calibration the overlapping blocks of a curve.  The builder's element
-budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and how many
-problems' n x p data are standardized at once, so that a curve's linear
-systems and data take a few MB at any n.  With G = 2 lambda Ytil Ytil'
-the penalty equals pi'G pi / 2 and the Hessian is diag(1/pi^2) + G.  The
-shape picks the one matrix stack a path holds, and with it how G v and a
-Newton step are computed, and nothing else: for n <= LOWRANK_RATIO p a
-problem holds one matrix, its bordered (n+1)-dimensional KKT matrix with G
-in the top-left block (plus a row for G's diagonal), and each iteration
-writes diag(G) + 1/pi^2 onto that block, solves, and writes G's diagonal
-back, so no matrix is copied per iteration and a stack holds
-BLOCK_CHUNK_ELEMENTS // (n+1)^2 problems; above that G, of rank at most p,
-is never formed, the stack is the n x p factors sqrt(2 lambda) Ytil, and a
-step goes through a p x p capacitance matrix in O(n p^2) time.  Memory
-therefore grows with n min(n, p).  Newton starts each problem where a
-predictor phase leaves it: from the uniform weights 1/n, up to
-PREDICTOR_STEPS inexact Newton steps that take only products with G and
-no linear solve, each kept only where it stays positive and cuts the KKT
-residual to at most PREDICTOR_CONTRACTION times the one before (see
-``_predictor``).  A problem the phase certifies leaves without a linear
-solve.  The iteration counts reported, and ``max_newton_iters``, count
-Newton steps only, not predictor steps.  Once the squared Newton
-decrement -g'd is below 1/16 the step is in the pure-Newton phase of this
-self-concordant objective and is taken in full, so convergence does not
-hinge on comparing objective values that differ by less than their
-rounding; larger steps backtrack to an Armijo decrease.  A problem
+calibration the overlapping blocks of a curve.  The builder allocates
+every array of a run, the stacks and one scratch buffer into which the
+caller writes the standardized data of a slice of problems, and its
+element budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and
+how many problems' n x p data are standardized at once, so that a
+curve's linear systems and data take a few MB at any n.  With
+G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the Hessian is
+diag(1/pi^2) + G.  The shape picks the one matrix stack a path holds, a
+plain (B, n, k) array, and with it how G v and a Newton step are
+computed, and nothing else: for n <= LOWRANK_RATIO p the stack is the
+n x n matrices G, and a step forms the bordered (n+1)-dimensional KKT
+matrices of the rows it solves, so a stack holds
+BLOCK_CHUNK_ELEMENTS // (n+1)^2 problems; above that G, of rank at most
+p, is never formed, the stack is the n x p factors sqrt(2 lambda) Ytil,
+and a step goes through a p x p capacitance matrix in O(n p^2) time.
+Memory therefore grows with n min(n, p).  A step never writes its
+stack.  Newton starts each problem where a predictor phase leaves it:
+from the uniform weights 1/n, up to PREDICTOR_STEPS inexact Newton steps
+that take only products with G and no linear solve, each kept only where
+it stays positive and cuts the KKT residual to at most
+PREDICTOR_CONTRACTION times the one before (see ``_predictor``).  A
+problem the phase certifies leaves without a linear solve.  The
+iteration counts reported, and ``max_newton_iters``, count Newton steps
+only, not predictor steps.  Once the squared Newton decrement -g'd is
+below 1/16 the step is in the pure-Newton phase of this self-concordant
+objective and is taken in full, so convergence does not hinge on
+comparing objective values that differ by less than their rounding;
+larger steps backtrack to an Armijo decrease.  A problem
 leaves the stack once its KKT residual is below ``newton_tol``; one that
 Newton leaves unconverged is reported as such.
 The builder logs one DEBUG record on this module's logger per run of
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +91,16 @@ ARMIJO = 1e-4
 # faster, at m = 1.2 p 10% slower.
 LOWRANK_RATIO = 1.35
 # Element budget of the problems ``_solve_blocks`` holds together, bounding
-# two counts: a Newton stack of the Gram path, (n+1)^2 a problem (its one
-# bordered KKT matrix, whose G block is the Gram matrix; the extra row for
-# G's diagonal is not counted), and a slice of problems whose n x p Ytil is
-# formed at once, (n+1)(n+1+p) a problem (the low-rank path's stack is one
-# slice).  At m = 86 a Gram stack holds 21 blocks, and the three curves
-# (m = 22, 43, 86) of an n = 200, p = 400 SRD level replicate take 9
-# stacks.  It is the (n+1)^2 scale of one full-sample KKT matrix at
-# n = 200, times 4, and does not grow with the sample size, so a
-# calibration curve's working memory stays a few MB however many blocks it
-# has.
+# two counts: a Newton stack of the Gram path, (n+1)^2 a problem (the
+# bordered KKT matrix a step forms for each row it solves, next to the
+# n x n Gram matrix the stack holds), and a slice of problems whose n x p
+# Ytil is formed at once, (n+1)(n+1+p) a problem (the low-rank path's
+# stack is one slice, and one scratch buffer holds a slice).  At m = 86 a
+# Gram stack holds 21 blocks, and the three curves (m = 22, 43, 86) of an
+# n = 200, p = 400 SRD level replicate take 9 stacks.  It is the (n+1)^2
+# scale of one full-sample KKT matrix at n = 200, times 4, and does not
+# grow with the sample size, so a calibration curve's working memory stays
+# a few MB however many blocks it has.
 BLOCK_CHUNK_ELEMENTS = 4 * 201**2
 
 __all__ = [
@@ -157,6 +160,11 @@ class PelConfig:
         if not 0 < self.newton_tol < math.inf:
             raise DomainError("newton_tol must be positive and finite, "
                               f"got {self.newton_tol}")
+        try:
+            operator.index(self.max_newton_iters)
+        except TypeError:
+            raise DomainError("max_newton_iters must be an integer, "
+                              f"got {self.max_newton_iters!r}") from None
         if self.max_newton_iters < 1:
             raise DomainError("max_newton_iters must be positive")
 
@@ -276,54 +284,41 @@ def _kkt_solve(kkt, rhs):
 
 
 class _GramStep:
-    """Newton steps from ``mat``, a (B, n+2, n+1) stack holding each
-    problem's one matrix: the bordered KKT matrix [[G_b, 1], [1', 0]] of
-    G_b = 2 lambda Ytil_b Ytil_b' in its first n+1 rows, and the diagonal
-    of G_b in its last row.
+    """Newton steps from ``mat``, the (B, n, n) stack of the Gram matrices
+    G_b = 2 lambda Ytil_b Ytil_b', given as Ytil_b Ytil_b' and scaled in
+    place.
 
-    G v reads the top-left n x n block in place.  A step writes
-    diag(G_b) + 1/x^2 onto that block's diagonal, solves the bordered
-    KKT systems of the active rows in one batched call, and writes the
-    kept diagonal back, so no matrix is copied per iteration and dropping
-    rows of ``mat`` drops each matrix with its diagonal.  O(n^3) time and
-    O(n^2) memory per problem, the right size when n is not much above p.
+    G v reads ``mat``.  A step forms the bordered KKT matrices
+    [[G_b + diag(1/x^2), 1], [1', 0]] of the active rows in a fresh stack
+    and solves them in one batched call, so ``mat`` is only read.  O(n^3)
+    time and O(n^2) memory per problem, the right size when n is not much
+    above p.
     """
 
     name = "gram"
 
-    def __init__(self, mat, lam):
-        # ``mat`` holds Ytil_b Ytil_b' in mat[:, :n, :n]; it is scaled and
-        # bordered in place
-        self.n = n = mat.shape[2] - 1
-        gram = mat[:, :n, :n]
+    def __init__(self, gram, lam):
         gram *= 2.0 * lam
-        self.penalized = gram.any(axis=(1, 2))
-        mat[:, :n, n] = 1.0
-        mat[:, n:] = 0.0
-        mat[:, n, :n] = 1.0
-        mat[:, n + 1, :n] = np.diagonal(gram, axis1=1, axis2=2)
-        self.mat = mat
-        self.rhs = np.zeros((len(mat), n + 1, 1))
+        self.mat = gram
 
     def matvec(self, v):
-        n = self.n
-        return _matvec(self.mat[:, :n, :n], v)
+        return _matvec(self.mat, v)
 
     def step(self, x, grad):
         b, n = x.shape
-        gdiag = self.mat[:, n + 1, :n]
-        # mat is C-contiguous (boolean indexing copies), so this is a view
-        diag = self.mat.reshape(b, -1)[:, : n * (n + 2): n + 2]
-        np.add(gdiag, x ** -2, out=diag)
-        self.rhs[:b, :n, 0] = -grad
-        d = _kkt_solve(self.mat[:, :n + 1], self.rhs[:b])[:, :n, 0]
-        diag[...] = gdiag
-        return d
+        kkt = np.zeros((b, n + 1, n + 1))
+        kkt[:, :n, :n] = self.mat
+        kkt[:, :n, n] = kkt[:, n, :n] = 1.0
+        diag = np.arange(n)
+        kkt[:, diag, diag] += x ** -2
+        rhs = np.zeros((b, n + 1, 1))
+        rhs[:, :n, 0] = -grad
+        return _kkt_solve(kkt, rhs)[:, :n, 0]
 
 
 class _LowRankStep:
-    """Newton steps from ``mat``, the n x p factors
-    U_b = sqrt(2 lambda) Ytil_b.
+    """Newton steps from ``mat``, the (B, n, p) stack of the factors
+    U_b = sqrt(2 lambda) Ytil_b, given as Ytil_b and scaled in place.
 
     G_b = U_b U_b' has rank at most p and is never formed: G v is U (U'v).
     A step costs O(n p^2) time and O(n p) memory per problem, through the
@@ -348,9 +343,8 @@ class _LowRankStep:
     name = "lowrank"
 
     def __init__(self, ytil, lam):
-        self.n = ytil.shape[1]
-        self.mat = np.sqrt(2.0 * lam) * ytil
-        self.penalized = self.mat.any(axis=(1, 2))
+        ytil *= np.sqrt(2.0 * lam)
+        self.mat = ytil
 
     def matvec(self, v):
         return _matvec(self.mat, _matvec(self.mat.transpose(0, 2, 1), v))
@@ -447,8 +441,8 @@ def _predictor(lin, tol):
     alone.  Returns (x, G x, steps), one row or entry per problem,
     ``steps`` counting the kept steps.
     """
-    n = lin.n
-    x = np.full((len(lin.mat), n), 1.0 / n)
+    n_rows, n = lin.mat.shape[:2]
+    x = np.full((n_rows, n), 1.0 / n)
     gpi = lin.matvec(x)
     grad, res = _residual(x, gpi)
     steps = np.zeros(len(x), dtype=int)
@@ -480,13 +474,15 @@ def _newton(lin, cfg: PelConfig):
     """Feasible-start Newton on a stack of B same-shape problems: the one
     function from a stack to its statistics.
 
-    ``lin`` (a _GramStep or a _LowRankStep) holds in ``lin.mat`` a stack
-    of B arrays that define the matrices G_b = 2 lambda Ytil_b Ytil_b', so
-    that row b minimizes -sum log(n pi) + pi'G_b pi / 2, whose Hessian is
-    diag(1/pi^2) + G_b; it computes only the products G v (``matvec``) and
-    the Newton steps (``step``), and gives the problems' size ``n`` and,
-    as built, which G_b are nonzero (``penalized``).  This loop drops the
-    rows that leave the stack from ``mat``, in one indexing operation.
+    ``lin`` (a _GramStep or a _LowRankStep) holds in ``lin.mat`` a
+    (B, n, k) array that defines the matrices G_b = 2 lambda Ytil_b Ytil_b',
+    so that row b minimizes -sum log(n pi) + pi'G_b pi / 2, whose Hessian
+    is diag(1/pi^2) + G_b; it computes only the products G v (``matvec``)
+    and the Newton steps (``step``), neither of which writes ``mat``.  The
+    problems' size n is ``mat.shape[1]``, and a problem has a penalty
+    where its slice of ``mat`` is nonzero, read before any row leaves.
+    This loop drops the rows that leave the stack from ``mat``, in one
+    indexing operation.
     Every row starts where ``_predictor`` leaves it, and G x at the start
     comes from the predictor too.  The iteration counts returned are
     Newton steps, each with a linear solve, and ``max_newton_iters``
@@ -505,7 +501,8 @@ def _newton(lin, cfg: PelConfig):
     one entry per row; where ``converged`` is False, ``pi`` is the best
     iterate and ``stat`` is not a statistic.
     """
-    n_rows, n = len(lin.mat), lin.n
+    n_rows, n = lin.mat.shape[:2]
+    penalized = lin.mat.any(axis=(1, 2))
     max_iters = cfg.max_newton_iters
     iterations = np.full(n_rows, max_iters)
     converged = np.zeros(n_rows, dtype=bool)
@@ -550,7 +547,7 @@ def _newton(lin, cfg: PelConfig):
         x /= x.sum(axis=1, keepdims=True)
         gpi = lin.matvec(x)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
-    stat[~lin.penalized] = 0.0
+    stat[~penalized] = 0.0
     return pi, stat, iterations, converged, residual, steps
 
 
@@ -558,16 +555,15 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     """Minimize the PEL criterion of ``n_blocks`` same-shape problems, a
     Newton stack at a time; the one place Newton stacks are built.
 
-    ``ytil_of(lo, hi)`` returns the (hi - lo, n, p) stack of
-    Ytil_b = (X_b - mu) sqrt(delta_b) of problems lo..hi-1, and ``lam`` is
-    their penalty factor; the stack need only stay valid until the next
-    call.  BLOCK_CHUNK_ELEMENTS sizes the stacks and the ``ytil_of``
-    slices.  On the low-rank path Newton holds the factors themselves, so
-    a stack is one slice.  On the Gram path a problem holds one
-    (n+2) x (n+1) matrix, its bordered KKT matrix and G's diagonal (see
-    _GramStep); slice by slice, Ytil Ytil' is written straight into the
-    top-left n x n blocks, and each slice's Ytil is dropped once they are
-    written.
+    ``ytil_of(lo, hi, out)`` writes the Ytil_b = (X_b - mu) sqrt(delta_b)
+    of problems lo..hi-1 into ``out``, a (hi - lo, n, p) array, and
+    returns it; ``lam`` is their penalty factor.  This builder allocates
+    every array of the run: one ``out`` buffer, sized for the largest
+    slice and rewritten by each call, and the Newton stacks.
+    BLOCK_CHUNK_ELEMENTS sizes the stacks and the slices.  On the low-rank
+    path Newton holds the factors themselves, scaled in the buffer, so a
+    stack is one slice.  On the Gram path a stack is the (B, n, n) array
+    of Ytil Ytil', written slice by slice.
 
     Logs one DEBUG record for the whole run: the path, n, p, the number
     of problems and of stacks, the number certified without a linear
@@ -585,20 +581,22 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     per_slice = max(1, BLOCK_CHUNK_ELEMENTS // ((n + 1) * (n + 1 + p)))
     per_stack = (per_slice if kind is _LowRankStep
                  else max(1, BLOCK_CHUNK_ELEMENTS // (n + 1) ** 2))
+    buf = np.empty((min(per_slice, n_blocks), n, p))
     out = (np.empty(n_blocks), np.empty(n_blocks, dtype=int),
            np.empty(n_blocks, dtype=bool), np.empty(n_blocks),
            np.empty(n_blocks, dtype=int))
     for lo in range(0, n_blocks, per_stack):
         hi = min(lo + per_stack, n_blocks)
         if kind is _LowRankStep:
-            lin = _LowRankStep(ytil_of(lo, hi), lam)
+            lin = _LowRankStep(ytil_of(lo, hi, buf[:hi - lo]), lam)
         else:
-            kkt = np.empty((hi - lo, n + 2, n + 1))
+            gram = np.empty((hi - lo, n, n))
             for s in range(lo, hi, per_slice):
-                ytil = ytil_of(s, min(s + per_slice, hi))
+                end = min(s + per_slice, hi)
+                ytil = ytil_of(s, end, buf[:end - s])
                 np.matmul(ytil, ytil.transpose(0, 2, 1),
-                          out=kkt[s - lo:s - lo + len(ytil), :n, :n])
-            lin = _GramStep(kkt, lam)
+                          out=gram[s - lo:end - lo])
+            lin = _GramStep(gram, lam)
         pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part
@@ -635,9 +633,10 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     """
     n, p = data.n, data.p
     mu = _checked_mu(mu, p)
-    ytil = (data.values - mu) * np.sqrt(data.delta)
     stat, iters, ok, res, _, pi = _solve_blocks(
-        lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
+        lambda lo, hi, out: np.multiply(data.values - mu,
+                                        np.sqrt(data.delta), out=out),
+        1, n, p, cfg.penalty(n, p), cfg)
     res = float(res[0])
     if not ok[0]:
         raise ConvergenceError(

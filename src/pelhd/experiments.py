@@ -86,8 +86,9 @@ class ExperimentConfig:
                 (("ergodic", 0.5), ("ergodic", 1.0), ("ergodic", 2.0))))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 2 or self.p < 2:
-            raise ConfigError("need n >= 2 and p >= 2")
+        if self.n < 3 or self.p < 2:
+            # a subsample block has 2 <= m <= n - 1 rows
+            raise ConfigError("need n >= 3 and p >= 2")
         if self.n_replicates < 1:
             raise ConfigError("n_replicates must be >= 1")
         if self.seed < 0:

@@ -86,6 +86,9 @@ class TestSubsampleSize:
     def test_validation(self):
         with pytest.raises(DimensionError):
             subsample_size(1, 10)
+        # no m in [2, n - 1] for n = 2
+        with pytest.raises(DimensionError):
+            subsample_size(2, 10)
         with pytest.raises(DomainError):
             subsample_size(20, 10, c0=-1.0)
         with pytest.raises(DomainError):
@@ -167,8 +170,8 @@ class TestCurves:
         assert peak < 12 * 8 * BLOCK_CHUNK_ELEMENTS
 
     def test_memory_does_not_grow_with_n_gram_path(self):
-        # p >> m = 93: the Gram path, whose Newton stacks hold one bordered
-        # KKT matrix a block but no m x p Ytil
+        # p >> m = 93: the Gram path, whose Newton stacks hold one m x m
+        # Gram matrix a block but no m x p Ytil
         n, p = 2000, 400
         dm = compute_column_stats(
             generate(SPEC_SRD, n, p, rng_for("curve", "memory", p)))

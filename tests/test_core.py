@@ -99,9 +99,11 @@ def stress_table(start, stop):
         x, mu, c_star, lam = stress_instance(k)
         cfg = PelConfig(c_star=c_star, lam=lam)
         lam = cfg.penalty(*x.shape)
-        ytil = (x - mu) * np.sqrt(compute_column_stats(x).delta)
+        root_delta = np.sqrt(compute_column_stats(x).delta)
+        ytil = (x - mu) * root_delta
         stat, iters, ok, res, steps, pi = _solve_blocks(
-            lambda lo, hi: ytil[None], 1, *x.shape, lam, cfg)
+            lambda lo, hi, out: np.multiply(x - mu, root_delta, out=out),
+            1, *x.shape, lam, cfg)
         grad = -1.0 / pi + 2.0 * lam * (ytil @ (ytil.T @ pi))
         floor = 1.0 / pi + 2.0 * lam * (np.abs(ytil) @ (np.abs(ytil).T @ pi))
         print(f"{k} {STRESS_KINDS[k % 5]} {x.shape[0]} {x.shape[1]} "
@@ -269,15 +271,15 @@ class TestSolvePel:
         ytil[1, 0, 0] = np.inf
         cfg = PelConfig()
         with np.errstate(invalid="ignore"):
-            _, stat, _, ok, _, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
+            _, stat, _, ok, _, _ = _newton(lowrank_step(ytil, 2.0), cfg)
         assert ok.tolist() == [True, False, True]
-        alone = _newton(_LowRankStep(ytil[[0, 2]], 2.0), cfg)[1]
+        alone = _newton(lowrank_step(ytil[[0, 2]], 2.0), cfg)[1]
         np.testing.assert_allclose(stat[[0, 2]], alone, rtol=1e-12)
         # an infinite entry in every row: every row fails on the first
         # step, and Newton ends on the retirement of the failed rows
         ytil[:, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            pi, _, iters, ok, _, _ = _newton(_LowRankStep(ytil, 2.0), cfg)
+            pi, _, iters, ok, _, _ = _newton(lowrank_step(ytil, 2.0), cfg)
         assert ok.tolist() == [False, False, False]
         assert iters.tolist() == [0, 0, 0]
         np.testing.assert_array_equal(pi, 1.0 / 30)
@@ -333,19 +335,23 @@ class TestSolvePel:
 
 def gram_step(ytil, lam):
     """The Gram path's stack of the (B, n, p) problems ``ytil``."""
-    n = ytil.shape[1]
-    mat = np.empty((len(ytil), n + 2, n + 1))
-    np.matmul(ytil, ytil.transpose(0, 2, 1), out=mat[:, :n, :n])
-    return _GramStep(mat, lam)
+    return _GramStep(np.matmul(ytil, ytil.transpose(0, 2, 1)), lam)
+
+
+def lowrank_step(ytil, lam):
+    """The low-rank path's stack of the (B, n, p) problems ``ytil``, which
+    it scales in place, so it gets a copy."""
+    return _LowRankStep(ytil.copy(), lam)
 
 
 def solve_one(data, mu, cfg):
     """(K_n, Newton iterations, predictor steps) of one problem, solved as
     ``solve_pel`` solves it; the solve must be certified."""
     n, p = data.n, data.p
-    ytil = (data.values - mu) * np.sqrt(data.delta)
     stat, iters, ok, _, steps, _ = _solve_blocks(
-        lambda lo, hi: ytil[None], 1, n, p, cfg.penalty(n, p), cfg)
+        lambda lo, hi, out: np.multiply(data.values - mu,
+                                        np.sqrt(data.delta), out=out),
+        1, n, p, cfg.penalty(n, p), cfg)
     assert ok[0]
     return stat[0], iters[0], steps[0]
 
@@ -357,7 +363,7 @@ def srd_instance(key, n, p):
 
 class TestStepPaths:
     """The two Newton step paths: the n x p low-rank step against a dense
-    reference, and the Gram step's one bordered matrix a problem."""
+    reference, and the Gram step, whose stack holds G alone."""
 
     @pytest.mark.parametrize("n,p", [(30, 4), (200, 20), (300, 7), (400, 100)])
     def test_full_sample_matches_dense_reference(self, n, p):
@@ -396,9 +402,9 @@ class TestStepPaths:
         assert peak < 16 * 8 * n * p
 
     def test_gram_step_and_retirement_keep_g(self):
-        """A step writes diag(G) + 1/x^2 onto each matrix and must write G's
-        diagonal back; retiring a row, as _newton does, must drop its
-        matrix and its diagonal together."""
+        """A step adds 1/x^2 to G's diagonal in the KKT matrices it forms
+        and must leave the stack of G as it found it; retiring a row, as
+        _newton does, must drop its G alone."""
         b, n, p = 4, 6, 9
         rng = rng_for("gramstep", 0)
         ytil = rng.normal(size=(b, n, p))
@@ -407,15 +413,31 @@ class TestStepPaths:
         grad, v = rng.normal(size=(2, b, n))
         keep = np.array([True, False, True, True])
         lin = gram_step(ytil, 2.0)
-        gram, before = lin.mat[:, :n, :n].copy(), lin.matvec(v)
+        gram, before = lin.mat.copy(), lin.matvec(v)
         lin.step(x, grad)
         lin.mat = lin.mat[keep]
-        assert np.array_equal(lin.mat[:, :n, :n], gram[keep])
+        assert np.array_equal(lin.mat, gram[keep])
         assert np.array_equal(lin.matvec(v[keep]), before[keep])
         # the next step is that of a stack built from the kept rows alone
         assert np.array_equal(
             lin.step(x[keep], grad[keep]),
             gram_step(ytil[keep], 2.0).step(x[keep], grad[keep]))
+
+    @pytest.mark.parametrize("path", [gram_step, lowrank_step],
+                             ids=["gram", "lowrank"])
+    def test_step_never_writes_its_stack(self, path):
+        """Newton's stack is only read by a step: a read-only one steps,
+        and to the same direction as a writable one."""
+        b, n, p = 3, 6, 9
+        rng = rng_for("readonly", 0)
+        ytil = rng.normal(size=(b, n, p))
+        x = rng.uniform(0.5, 1.5, size=(b, n))
+        x /= x.sum(axis=1, keepdims=True)
+        grad = rng.normal(size=(b, n))
+        lin = path(ytil, 2.0)
+        lin.mat.setflags(write=False)
+        assert np.array_equal(lin.step(x, grad),
+                              path(ytil, 2.0).step(x, grad))
 
     @pytest.mark.parametrize("n,p,path", [(30, 4, "lowrank"), (4, 30, "gram")])
     def test_debug_record_names_the_path(self, caplog, n, p, path):
@@ -433,7 +455,7 @@ class TestStepPaths:
 class TestPredictor:
     """The matvec-only predictor phase that Newton starts from."""
 
-    @pytest.mark.parametrize("path", [gram_step, _LowRankStep],
+    @pytest.mark.parametrize("path", [gram_step, lowrank_step],
                              ids=["gram", "lowrank"])
     def test_rows_solve_as_they_do_alone(self, path):
         """One stack of three kinds of row: one the predictor certifies,
@@ -596,6 +618,15 @@ class TestPelConfig:
             PelConfig(c_star=1.0, newton_tol=0.0)
         with pytest.raises(DomainError):
             PelConfig(c_star=1.0, max_newton_iters=0)
+
+    def test_newton_budget_is_an_integer(self):
+        with pytest.raises(DomainError, match="integer"):
+            PelConfig(max_newton_iters=2.5)
+        data, _ = random_instance(rng_for("budget", 0), n=6, p=3)
+        for budget in (3, np.int64(3)):
+            sol = solve_pel(data, data.col_mean,
+                            PelConfig(max_newton_iters=budget))
+            assert sol.iterations <= 3
 
     @pytest.mark.parametrize("setting", [
         {"c_star": math.nan}, {"c_star": math.inf}, {"lam": math.nan},

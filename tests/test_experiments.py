@@ -66,6 +66,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(n_replicates=0)
 
+    def test_two_observations_rejected(self):
+        # no subsample block size m in [2, n - 1]: every curve would be empty
+        with pytest.raises(ConfigError, match="need n >= 3"):
+            small_cfg(n=2, p=4)
+        small_cfg(n=3, p=4)
+
     def test_repeated_levels_or_m_rules_rejected(self):
         # a repeated entry would repeat its result rows
         with pytest.raises(ConfigError, match="levels"):
