@@ -35,8 +35,10 @@ stack.  Newton starts each problem where a predictor phase leaves it:
 from the uniform weights 1/n, up to PREDICTOR_STEPS inexact Newton steps
 that take only products with G and no linear solve, each kept only where
 it stays positive and cuts the KKT residual to at most
-PREDICTOR_CONTRACTION times the one before (see ``_predictor``).  A
-problem the phase certifies leaves without a linear solve.  The
+PREDICTOR_CONTRACTION times the one before (see ``_predictor``).  The
+phase computes its steps for the problems still in it, gathered with
+their matrices into a smaller stack once at most half of its rows are.
+A problem the phase certifies leaves without a linear solve.  The
 iteration counts reported, and ``max_newton_iters``, count Newton steps
 only, not predictor steps.  Once the squared Newton decrement -g'd is
 below 1/16 the step is in the pure-Newton phase of this self-concordant
@@ -198,13 +200,14 @@ def _moments(x, out=None):
     centred squares are written into ``out``, an array of x's shape, when
     it is given.
     """
-    mean = x.mean(axis=-2)
+    n = x.shape[-2]
+    mean = np.add.reduce(x, axis=-2) / n
     sq = np.subtract(x, mean[..., None, :], out=out)
-    var = np.square(sq, out=sq).mean(axis=-2)
+    var = np.add.reduce(np.square(sq, out=sq), axis=-2) / n
     # A constant column whose mean does not round back to the constant
     # keeps a variance of rounding size, below (2 n eps mean)^2, and so a
     # huge delta.  Only columns that small are checked for equal entries.
-    small = var <= (2 * x.shape[-2] * np.finfo(float).eps * mean) ** 2
+    small = var <= (2 * n * np.finfo(float).eps * mean) ** 2
     if small.any():
         cols = np.moveaxis(x, -2, -1)[small]
         var[small] = np.where(np.all(cols == cols[:, :1], axis=1), 0.0,
@@ -283,7 +286,21 @@ def _kkt_solve(kkt, rhs):
         return out
 
 
-class _GramStep:
+class _Stack:
+    """A Newton stack: ``mat``, a (B, n, k) array with one slice per
+    problem, from which a subclass computes G v and the Newton steps."""
+
+    def take(self, rows):
+        """The stack of the problems ``rows`` (an index array or a boolean
+        mask) alone, of the same kind and in a copy of their slices of
+        ``mat``; this stack is left as it is."""
+        # not through __init__, which would scale the copy again
+        part = object.__new__(type(self))
+        part.mat = self.mat[rows]
+        return part
+
+
+class _GramStep(_Stack):
     """Newton steps from ``mat``, the (B, n, n) stack of the Gram matrices
     G_b = 2 lambda Ytil_b Ytil_b', given as Ytil_b Ytil_b' and scaled in
     place.
@@ -306,17 +323,18 @@ class _GramStep:
 
     def step(self, x, grad):
         b, n = x.shape
-        kkt = np.zeros((b, n + 1, n + 1))
+        kkt = np.empty((b, n + 1, n + 1))
         kkt[:, :n, :n] = self.mat
         kkt[:, :n, n] = kkt[:, n, :n] = 1.0
-        diag = np.arange(n)
-        kkt[:, diag, diag] += x ** -2
+        kkt[:, n, n] = 0.0
+        # entry (i, i) of a flattened (n+1) x (n+1) matrix is i (n+2)
+        kkt.reshape(b, -1)[:, :n * (n + 2):n + 2] += x ** -2
         rhs = np.zeros((b, n + 1, 1))
         rhs[:, :n, 0] = -grad
         return _kkt_solve(kkt, rhs)[:, :n, 0]
 
 
-class _LowRankStep:
+class _LowRankStep(_Stack):
     """Newton steps from ``mat``, the (B, n, p) stack of the factors
     U_b = sqrt(2 lambda) Ytil_b, given as Ytil_b and scaled in place.
 
@@ -352,7 +370,7 @@ class _LowRankStep:
     def step(self, x, grad):
         p = self.mat.shape[2]
         x2 = x * x
-        norm2 = x2.sum(axis=1, keepdims=True)
+        norm2 = np.add.reduce(x2, axis=1, keepdims=True)
         a = _matvec(self.mat.transpose(0, 2, 1), x2) / norm2
         v = x[:, :, None] * (self.mat - a[:, None, :])
         vt = v.transpose(0, 2, 1)
@@ -362,7 +380,8 @@ class _LowRankStep:
         def off_pi(w):
             return w - x * (np.einsum("ij,ij->i", x, w)[:, None] / norm2)
 
-        z = off_pi(x * (grad - grad.mean(axis=1, keepdims=True)))
+        mean = np.add.reduce(grad, axis=1, keepdims=True) / grad.shape[1]
+        z = off_pi(x * (grad - mean))
         w = z - _matvec(v, _kkt_solve(cap, _matvec(vt, z)[:, :, None])[:, :, 0])
         return -x * off_pi(w)
 
@@ -377,13 +396,12 @@ def _step_lengths(pi, d, gpi, matvec, dec):
     + t^2 d'G d / 2, which is accurate however small the change; d'G d is
     d (G d) from the stack's ``matvec``, called only when a row
     backtracks.  Returns NaN where the decrement is not finite or
-    backtracking gave out.
+    backtracking gave out.  Runs under ``_newton``'s error state.
     """
     finite = np.isfinite(dec)
     t = np.where(finite, 1.0, np.nan)
-    with np.errstate(invalid="ignore"):
-        damped = finite & ((dec >= FULL_STEP_DECREMENT)
-                           | np.any(pi + d <= 0, axis=1))
+    damped = finite & ((dec >= FULL_STEP_DECREMENT)
+                       | np.any(pi + d <= 0, axis=1))
     if not damped.any():
         return t
     rows = np.flatnonzero(damped)
@@ -391,31 +409,30 @@ def _step_lengths(pi, d, gpi, matvec, dec):
     quad = np.einsum("ij,ij->i", matvec(d), d)[rows]
     lin = np.einsum("ij,ij->i", gpi[rows], dr)
     slope = np.minimum(-dec[rows], 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t[rows] = np.minimum(
-            1.0, 0.99 * np.where(dr < 0, -pr / dr, np.inf).min(axis=1))
-        todo = np.arange(rows.size)
-        while todo.size:
-            tk = t[rows[todo]]
-            step = tk[:, None] * dr[todo] / pr[todo]
-            change = (-np.sum(np.log1p(step), axis=1) + tk * lin[todo]
-                      + 0.5 * tk * tk * quad[todo])
-            ok = (np.all(step > -1.0, axis=1)
-                  & (change <= ARMIJO * tk * slope[todo]))
-            todo = todo[~ok]
-            t[rows[todo]] *= 0.5
-            gave_out = t[rows[todo]] <= 1e-14
-            t[rows[todo[gave_out]]] = np.nan
-            todo = todo[~gave_out]
+    t[rows] = np.minimum(
+        1.0, 0.99 * np.where(dr < 0, -pr / dr, np.inf).min(axis=1))
+    todo = np.arange(rows.size)
+    while todo.size:
+        tk = t[rows[todo]]
+        step = tk[:, None] * dr[todo] / pr[todo]
+        change = (-np.sum(np.log1p(step), axis=1) + tk * lin[todo]
+                  + 0.5 * tk * tk * quad[todo])
+        ok = (np.all(step > -1.0, axis=1)
+              & (change <= ARMIJO * tk * slope[todo]))
+        todo = todo[~ok]
+        t[rows[todo]] *= 0.5
+        gave_out = t[rows[todo]] <= 1e-14
+        t[rows[todo[gave_out]]] = np.nan
+        todo = todo[~gave_out]
     return t
 
 
 def _residual(x, gpi):
     """The gradient -1/x + G x of each row of the stack, given G x, and its
     KKT residual: the max-norm of its projection onto 1'd = 0."""
-    grad = -1.0 / x + gpi
-    centred = grad - grad.mean(axis=1, keepdims=True)
-    return grad, np.max(np.abs(centred), axis=1)
+    grad = gpi - 1.0 / x
+    centred = grad - np.add.reduce(grad, axis=1, keepdims=True) / x.shape[1]
+    return grad, np.maximum.reduce(np.abs(centred, out=centred), axis=1)
 
 
 def _predictor(lin, tol):
@@ -436,40 +453,62 @@ def _predictor(lin, tol):
     first rejected step, a non-finite one included, once its residual is
     below ``tol`` or after PREDICTOR_STEPS kept steps.  A step costs two
     passes over G, one product with the pair (x^2 g, x^2) for M and one
-    for G x'.  It is computed for the whole stack and masked, so G is
-    never copied for a subset of rows and each row moves as it would
-    alone.  Returns (x, G x, steps), one row or entry per problem,
-    ``steps`` counting the kept steps.
+    for G x'.  It is computed for the working rows, at first the whole
+    stack; once at most half of them are still in the phase, those are
+    gathered, with their slices of G (``take``), into a smaller working
+    set, and the results of the rows left behind are written back.  Every
+    row moves as it would alone.  Returns (x, G x, steps), one row or
+    entry per problem, ``steps`` counting the kept steps.
     """
     n_rows, n = lin.mat.shape[:2]
     x = np.full((n_rows, n), 1.0 / n)
     gpi = lin.matvec(x)
     grad, res = _residual(x, gpi)
-    steps = np.zeros(len(x), dtype=int)
+    steps = np.zeros(n_rows, dtype=int)
+    out, rows = (x, gpi, steps), None
+
+    def write_back():
+        if rows is not None:
+            for whole, part in zip(out, (x, gpi, steps)):
+                whole[rows] = part
+
     active = res >= tol
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(PREDICTOR_STEPS):
-            if not active.any():
-                break
-            x2 = x * x
-            g_pair = lin.matvec(np.stack((x2 * grad, x2), axis=2))
-            v = x2 * (grad - g_pair[:, :, 0])
-            w = x2 * (1.0 - g_pair[:, :, 1])
-            nu = -v.sum(axis=1) / w.sum(axis=1)
-            x1 = x - (v + nu[:, None] * w)
-            x1 /= x1.sum(axis=1, keepdims=True)
-            gpi1 = lin.matvec(x1)
-            grad1, res1 = _residual(x1, gpi1)
-            keep = (active & np.all(x1 > 0, axis=1)
-                    & (res1 <= PREDICTOR_CONTRACTION * res))
-            for old, new in ((x, x1), (gpi, gpi1), (grad, grad1)):
-                old[keep] = new[keep]
-            res[keep] = res1[keep]
-            steps += keep
-            active = keep & (res1 >= tol)
-    return x, gpi, steps
+    for _ in range(PREDICTOR_STEPS):
+        n_active = np.count_nonzero(active)
+        if not n_active:
+            break
+        if 2 * n_active <= len(active):
+            # each gather at least halves the working rows, so all of them
+            # together copy at most one stack
+            write_back()
+            rows = np.flatnonzero(active) if rows is None else rows[active]
+            x, gpi, grad, res, steps = (
+                a[active] for a in (x, gpi, grad, res, steps))
+            lin = lin.take(active)
+            active = np.ones(n_active, dtype=bool)
+        pair = np.empty((*x.shape, 2))
+        x2 = np.multiply(x, x, out=pair[:, :, 1])
+        np.multiply(x2, grad, out=pair[:, :, 0])
+        g_pair = lin.matvec(pair)
+        v = x2 * (grad - g_pair[:, :, 0])
+        w = x2 * (1.0 - g_pair[:, :, 1])
+        minus_nu = np.add.reduce(v, axis=1) / np.add.reduce(w, axis=1)
+        x1 = x - (v - minus_nu[:, None] * w)
+        x1 /= np.add.reduce(x1, axis=1, keepdims=True)
+        gpi1 = lin.matvec(x1)
+        grad1, res1 = _residual(x1, gpi1)
+        keep = (active & (x1 > 0).all(axis=1)
+                & (res1 <= PREDICTOR_CONTRACTION * res))
+        for old, new in ((x, x1), (gpi, gpi1), (grad, grad1)):
+            np.copyto(old, new, where=keep[:, None])
+        np.copyto(res, res1, where=keep)
+        steps += keep
+        active = keep & (res1 >= tol)
+    write_back()
+    return out
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton(lin, cfg: PelConfig):
     """Feasible-start Newton on a stack of B same-shape problems: the one
     function from a stack to its statistics.
@@ -481,8 +520,10 @@ def _newton(lin, cfg: PelConfig):
     and the Newton steps (``step``), neither of which writes ``mat``.  The
     problems' size n is ``mat.shape[1]``, and a problem has a penalty
     where its slice of ``mat`` is nonzero, read before any row leaves.
-    This loop drops the rows that leave the stack from ``mat``, in one
-    indexing operation.
+    This loop drops the rows that leave the stack with ``lin.take``, in
+    one indexing operation.  It runs, predictor included, with numpy's
+    divide, invalid and overflow warnings off: a non-finite value fails
+    its row, which is reported through the return values.
     Every row starts where ``_predictor`` leaves it, and G x at the start
     comes from the predictor too.  The iteration counts returned are
     Newton steps, each with a linear solve, and ``max_newton_iters``
@@ -515,6 +556,7 @@ def _newton(lin, cfg: PelConfig):
         """Record the rows in ``mask`` as finished at iteration ``it`` with
         the current x and its criterion, drop them from the stack, and
         return the kept rows of ``rows``, ``x`` and each of ``arrays``."""
+        nonlocal lin
         finished = rows[mask]
         pi[finished] = x[mask]
         stat[finished] = _criterion(x[mask], gpi[mask])
@@ -522,14 +564,15 @@ def _newton(lin, cfg: PelConfig):
         keep = ~mask
         # the stack shrinks only when a row leaves it, so with B = 1 the
         # matrices are never copied
-        lin.mat = lin.mat[keep]
+        lin = lin.take(keep)
         return [a[keep] for a in (rows, x, *arrays)]
 
     for it in range(max_iters + 1):
         grad, res = _residual(x, gpi)
         residual[rows] = res
-        converged[rows] = res < cfg.newton_tol
-        done = converged[rows] | (it == max_iters)
+        done = res < cfg.newton_tol
+        converged[rows] = done
+        done |= it == max_iters
         if done.any():
             rows, x, grad, gpi = retire(done, it, grad, gpi)
             if not rows.size:
@@ -544,7 +587,7 @@ def _newton(lin, cfg: PelConfig):
             if not rows.size:
                 break
         x = x + t[:, None] * d
-        x /= x.sum(axis=1, keepdims=True)
+        x /= np.add.reduce(x, axis=1, keepdims=True)
         gpi = lin.matvec(x)
     stat[(stat > -1e-9) & (stat < 0)] = 0.0
     stat[~penalized] = 0.0
@@ -594,19 +637,23 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
             for s in range(lo, hi, per_slice):
                 end = min(s + per_slice, hi)
                 ytil = ytil_of(s, end, buf[:end - s])
-                np.matmul(ytil, ytil.transpose(0, 2, 1),
-                          out=gram[s - lo:end - lo])
+                # an overflow leaves inf in G, and Newton reports its row
+                # unconverged
+                with np.errstate(over="ignore"):
+                    np.matmul(ytil, ytil.transpose(0, 2, 1),
+                              out=gram[s - lo:end - lo])
             lin = _GramStep(gram, lam)
         pi, *parts = _newton(lin, cfg)
         for whole, part in zip(out, parts):
             whole[lo:hi] = part
-    _, iters, ok, res, _ = out
-    logger.debug(
-        "newton: path=%s n=%d p=%d problems=%d stacks=%d "
-        "certified_without_solve=%d iterations=%d max_iterations=%d "
-        "failed=%d max_residual=%.3e", kind.name, n, p, n_blocks,
-        math.ceil(n_blocks / per_stack), np.sum(ok & (iters == 0)),
-        iters.sum(), iters.max(), n_blocks - ok.sum(), res.max())
+    if logger.isEnabledFor(logging.DEBUG):
+        _, iters, ok, res, _ = out
+        logger.debug(
+            "newton: path=%s n=%d p=%d problems=%d stacks=%d "
+            "certified_without_solve=%d iterations=%d max_iterations=%d "
+            "failed=%d max_residual=%.3e", kind.name, n, p, n_blocks,
+            math.ceil(n_blocks / per_stack), np.sum(ok & (iters == 0)),
+            iters.sum(), iters.max(), n_blocks - ok.sum(), res.max())
     return (*out, pi[-1])
 
 

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,17 @@ class TestSolvePel:
         assert np.all(best > 0) and abs(best.sum() - 1.0) < 1e-12
         assert err.value.residual > cfg.newton_tol
 
+    @pytest.mark.parametrize("n,p", [(10, 4), (4, 10), (200, 400)])
+    def test_huge_mu_raises_without_warnings(self, n, p):
+        """A finite mu so far from the data that G overflows, on the
+        low-rank path (10, 4) and the Gram path: ConvergenceError, and no
+        numpy RuntimeWarning on the way."""
+        dm, _ = random_instance(rng_for("solve", 7), n=n, p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                solve_pel(dm, np.full(p, 1e200), PelConfig())
+
     def test_singular_kkt_system_fails_its_row_only(self):
         eye = np.eye(2)
         out = _kkt_solve(np.stack([eye, 0.0 * eye, 2.0 * eye]),
@@ -354,6 +366,16 @@ def solve_one(data, mu, cfg):
         1, n, p, cfg.penalty(n, p), cfg)
     assert ok[0]
     return stat[0], iters[0], steps[0]
+
+
+def shifted_rows(x, shift):
+    """The (B, n, p) problems ``x``, each column standardized over its n
+    rows and then shifted by the problem's entry of ``shift``: 0.02 gives a
+    row the predictor certifies, 0.5 one that keeps all PREDICTOR_STEPS
+    steps and then needs Newton, 30 a far-mu row whose first predictor
+    step is rejected."""
+    return ((x - x.mean(axis=1, keepdims=True))
+            / x.std(axis=1, keepdims=True) - shift[:, None, None])
 
 
 def srd_instance(key, n, p):
@@ -465,15 +487,46 @@ class TestPredictor:
         solved alone."""
         n, p = 24, 12
         x = rng_for("predictor", 0).normal(size=(3, n, p))
-        shift = np.array([0.02, 0.5, 30.0])
-        ytil = ((x - x.mean(axis=1, keepdims=True))
-                / x.std(axis=1, keepdims=True) - shift[:, None, None])
+        ytil = shifted_rows(x, np.array([0.02, 0.5, 30.0]))
         lam, cfg = n / p, PelConfig()
         _, stat, iters, ok, _, steps = _newton(path(ytil, lam), cfg)
         assert ok.all()
         assert steps[0] > 0 and iters[0] == 0
         assert steps[1] > 0 and iters[1] > 0
         assert steps[2] == 0 and iters[2] > 0
+        for i in range(len(ytil)):
+            _, alone, its, _, _, st = _newton(path(ytil[i:i + 1], lam), cfg)
+            assert (stat[i], iters[i], steps[i]) == (alone[0], its[0],
+                                                     st[0]), i
+
+    @pytest.mark.parametrize("path", [gram_step, lowrank_step],
+                             ids=["gram", "lowrank"])
+    def test_rows_that_left_take_no_products(self, path, monkeypatch):
+        """One row that keeps every predictor step, stacked with seven
+        far-mu rows whose first step is rejected: after the first step the
+        predictor's products with G cover the one row still in it, and
+        each row's statistic, Newton step count and predictor step count
+        are those of the row solved alone."""
+        n, p = 24, 12
+        x = rng_for("predictor", 0).normal(size=(8, n, p))
+        shift = np.full(8, 30.0)
+        shift[1] = 0.5
+        ytil = shifted_rows(x, shift)
+        lam, cfg = n / p, PelConfig()
+        lin = path(ytil, lam)
+        matvec, sizes = type(lin).matvec, []
+
+        def counted(self, v):
+            sizes.append(len(v))
+            return matvec(self, v)
+
+        monkeypatch.setattr(type(lin), "matvec", counted)
+        steps = core._predictor(lin, cfg.newton_tol)[2]
+        assert steps.tolist() == [0, core.PREDICTOR_STEPS] + [0] * 6
+        # G x at 1/n and the first step's two products, then two a step
+        assert sizes == [8] * 3 + [1] * 2 * (core.PREDICTOR_STEPS - 1)
+        _, stat, iters, ok, _, steps = _newton(path(ytil, lam), cfg)
+        assert ok.all()
         for i in range(len(ytil)):
             _, alone, its, _, _, st = _newton(path(ytil[i:i + 1], lam), cfg)
             assert (stat[i], iters[i], steps[i]) == (alone[0], its[0],
