@@ -20,7 +20,10 @@ every array of a run, the stacks and one scratch buffer into which the
 caller writes the standardized data of a slice of problems, and its
 element budget, ``BLOCK_CHUNK_ELEMENTS``, bounds what a stack holds and
 how many problems' n x p data are standardized at once, so that a
-curve's linear systems and data take a few MB at any n.  With
+curve's linear systems and data take a few MB at any n.  A full-sample
+solve holds ``DataMatrix.values`` and that one n x p buffer, into which
+``solve_pel`` writes X - mu and scales it in place: the Gram path reads
+it for Ytil Ytil', the low-rank path scales it into its factors.  With
 G = 2 lambda Ytil Ytil' the penalty equals pi'G pi / 2 and the Hessian is
 diag(1/pi^2) + G.  The shape picks the one matrix stack a path holds, a
 plain (B, n, k) array, and with it how G v and a Newton step are
@@ -372,7 +375,8 @@ class _LowRankStep(_Stack):
         x2 = x * x
         norm2 = np.add.reduce(x2, axis=1, keepdims=True)
         a = _matvec(self.mat.transpose(0, 2, 1), x2) / norm2
-        v = x[:, :, None] * (self.mat - a[:, None, :])
+        v = np.subtract(self.mat, a[:, None, :])
+        v *= x[:, :, None]
         vt = v.transpose(0, 2, 1)
         cap = np.matmul(vt, v)
         cap.reshape(len(x), -1)[:, :: p + 1] += 1.0
@@ -602,7 +606,9 @@ def _solve_blocks(ytil_of, n_blocks, n, p, lam, cfg: PelConfig):
     of problems lo..hi-1 into ``out``, a (hi - lo, n, p) array, and
     returns it; ``lam`` is their penalty factor.  This builder allocates
     every array of the run: one ``out`` buffer, sized for the largest
-    slice and rewritten by each call, and the Newton stacks.
+    slice and rewritten in place by each call, and the Newton stacks; a
+    full-sample solve (one problem) holds ``DataMatrix.values`` and this
+    one n x p buffer.
     BLOCK_CHUNK_ELEMENTS sizes the stacks and the slices.  On the low-rank
     path Newton holds the factors themselves, scaled in the buffer, so a
     stack is one slice.  On the Gram path a stack is the (B, n, n) array
@@ -681,7 +687,7 @@ def solve_pel(data: DataMatrix, mu, cfg: PelConfig) -> PelSolution:
     n, p = data.n, data.p
     mu = _checked_mu(mu, p)
     stat, iters, ok, res, _, pi = _solve_blocks(
-        lambda lo, hi, out: np.multiply(data.values - mu,
+        lambda lo, hi, out: np.multiply(np.subtract(data.values, mu, out=out),
                                         np.sqrt(data.delta), out=out),
         1, n, p, cfg.penalty(n, p), cfg)
     res = float(res[0])

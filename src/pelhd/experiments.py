@@ -195,7 +195,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
     try:
         x = generate(cfg.dependence, cfg.n, cfg.p, _replicate_seed(cfg, rep))
         if cfg.mode == "power":
-            x = x + _mu1(cfg)
+            x += _mu1(cfg)
         data = compute_column_stats(x)
         kn = solve_pel(data, mu0, pel_cfg).stat
     except PelhdError:

@@ -411,9 +411,15 @@ class TestStepPaths:
                                                          abs=0), i
             assert list(solve_one(block, mu, cfg)[1:]) == counts, i
 
-    def test_memory_grows_with_n_times_p(self):
+    @pytest.mark.parametrize("n,p,bound", [
         # an (n+1)^2 KKT matrix alone would take 72 MB here
-        n, p = 3000, 10
+        (3000, 10, 16),
+        # the full sample's one n x p working array beside the data: the
+        # Gram path, and the low-rank path certified by the predictor
+        (200, 4000, 1.5),
+        (2000, 50, 1.5),
+    ])
+    def test_memory_grows_with_n_times_p(self, n, p, bound):
         data, mu = srd_instance(("paths", "memory"), n, p)
         tracemalloc.start()
         try:
@@ -421,7 +427,7 @@ class TestStepPaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 8 * n * p
+        assert peak < bound * 8 * n * p
 
     def test_gram_step_and_retirement_keep_g(self):
         """A step adds 1/x^2 to G's diagonal in the KKT matrices it forms
