@@ -187,7 +187,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> np.ndarray:
     a decision only where rounding makes the two scaled values tie.  It
     stays because the benchmark's checks read the Hurst estimate and the
     scaled statistic; taking it out waits for a benchmark change
-    (ROADMAP item 2).
+    (ROADMAP item 3).
     """
     out = np.full((len(_row_labels(cfg)), len(cfg.levels)), np.nan)
     pel_cfg = cfg.pel_config()

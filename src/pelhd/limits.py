@@ -15,12 +15,12 @@ The limit depends on the correlation-decay exponent alpha:
   (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z and evaluated in the eigenbasis of
   R0 as (c*/q) sum_k w_k G_k^2 with G ~ N(0, I) (``sample_ne_limit``).
 
-Both samplers cost what their draws need: O(q) per non-ergodic draw after
-one eigendecomposition, and one real FFT of length 2p per LRD draw, since
-the surrogate's sum of squares is a quadratic form in N(0, I_p) normals
-with the Toeplitz matrix of ``simulate.lrd_correlation``, evaluated
-through the circulant spectrum the LRD data are drawn from; no p x p
-matrix is formed.
+Both samplers cost what their draws need: O(rank R0) per non-ergodic
+draw after one eigendecomposition, and one real FFT of length 2p per LRD
+draw, since the surrogate's sum of squares is a quadratic form in
+N(0, I_p) normals with the Toeplitz matrix of ``simulate.lrd_correlation``,
+evaluated through the circulant spectrum the LRD data are drawn from; no
+p x p matrix is formed.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ def kappa_squared(rho, c_star: float) -> float:
 
 
 # elements of the normals drawn per batch in sample_lrd_limit; the FFT adds
-# a zero-padded copy and a complex output of twice that.  At p=2048 and 1000
-# draws one call peaks at 20.0 MB under tracemalloc; 2 000 000 raised the
-# limit_draws benchmark's peak RSS from 139.7 to 156.8 MB
-_LRD_BATCH_ELEMENTS = 500_000
+# a zero-padded copy and a complex output of twice that, so a batch takes
+# 40 bytes an element and this one (16 draws at p=2048) stays in a 2 MB L2
+# cache.  On a 2-core Xeon with 2 MB L2 a core, 1000 draws at p=2048 took
+# 48 ms at this size (49 at 8 192, 53 at 131 072) and 57 ms at 500 000,
+# whose batch does not fit; the call peaks at 1.3 MB under tracemalloc
+# (19.1 MB at 500 000)
+_LRD_BATCH_ELEMENTS = 32_768
 
 
 def _count(value, name: str, least: int) -> int:
@@ -73,10 +76,18 @@ def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
     inverse form resums the alternating kernel series).  With R0 = Q L Q'
     and Z = Q L^(1/2) G, G ~ N(0, I_q), the operator is diagonal in the
     same basis, so a draw is (c*/q) sum_k w_k G_k^2 with weights
-    w_k = max(l_k, 0) / (1 + 2 c* l_k / q): O(q) per draw once the
-    eigenvalues are known.  Under the spectral condition every
+    w_k = l_k / (1 + 2 c* l_k / q).  Under the spectral condition every
     denominator lies in (0, 2), so each w_k is finite and >= 0 and the
     draws are >= 0.
+
+    Only the eigenvalues above the numerical-rank tolerance q eps l_max
+    get a weight, so G holds one row of n_draws normals per such
+    eigenvalue, in ascending order, from the seed's generator:
+    O(rank R0) per draw, 31 normals for the 31-term basis of
+    ``simulate.ne_correlation`` at any q >= 31.  A grid whose eigenvalues
+    all clear the tolerance gets the draws of the full q-row form bit
+    for bit; a rank-deficient one gets another realization of the same
+    law, less dropped weights of at most q eps l_max each.
 
     The grid correlation must be symmetric PSD with unit diagonal, and
     4 c*^2 * mean(R0^2) (the grid version of the squared-kernel integral)
@@ -93,21 +104,24 @@ def sample_ne_limit(rho0_grid, c_star: float, n_draws: int, seed) -> np.ndarray:
         raise DomainError("rho0_grid must be symmetric")
     if not np.allclose(np.diag(r), 1.0, atol=1e-8):
         raise DomainError("rho0_grid must have unit diagonal")
-    if not c_star >= 0:
-        raise DomainError(f"c_star must be >= 0, got {c_star}")
+    if not 0 <= c_star < math.inf:
+        raise DomainError(f"c_star must be >= 0 and finite, got {c_star}")
     if 4.0 * c_star**2 * float(np.mean(r**2)) >= 1.0:
         raise DomainError(
             "spectral condition 4 c*^2 mean(rho0^2) < 1 violated; "
             "the limit series may diverge")
 
-    # R0 may be rank deficient (finite basis): clip its rounding negatives
+    # R0 may be rank deficient (finite basis): a rounding negative passes
+    # the PSD tolerance, and only the eigenvalues above the numerical-rank
+    # tolerance q eps l_max of np.linalg.matrix_rank get normals
     evals = np.linalg.eigvalsh(r)
-    if evals.min() < -1e-8 * max(1.0, evals.max()):
+    if evals[0] < -1e-8 * max(1.0, evals[-1]):
         raise NumericError(
-            f"rho0_grid is not PSD (min eigenvalue {evals.min():.3e})")
-    w = np.clip(evals, 0.0, None) / (1.0 + (2.0 * c_star / q) * evals)
+            f"rho0_grid is not PSD (min eigenvalue {evals[0]:.3e})")
+    evals = evals[evals > q * np.finfo(float).eps * evals[-1]]
+    w = evals / (1.0 + (2.0 * c_star / q) * evals)
 
-    g = np.random.default_rng(seed).standard_normal((q, n_draws))
+    g = np.random.default_rng(seed).standard_normal((len(w), n_draws))
     return (c_star / q) * (w @ np.square(g, out=g))
 
 
@@ -131,7 +145,9 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     draw (Davies & Harte 1987; Wood & Chan 1994).  This is exact for any
     symmetric circulant extension, so negative lambda_k need no clipping.
     g holds p normals per draw, drawn row by row from the seed's generator
-    in batches that do not change the stream.
+    in batches that change neither the stream nor the draws: each row's FFT
+    and weighted sum are computed by themselves, without BLAS, so a draw
+    depends neither on the batch size nor on the BLAS thread count.
 
     The draws have the law of the product Z = g U with U the upper
     Cholesky factor of ``toeplitz(lrd_correlation(p, alpha))``, but not
@@ -156,5 +172,8 @@ def sample_lrd_limit(alpha: float, p_surrogate: int = 2048,
     for done in range(0, n_draws, batch):
         g = rng.standard_normal((min(batch, n_draws - done), p))
         f = np.fft.rfft(g, n=2 * p).view(float)
-        out[done:done + len(f)] = scale * (np.square(f, out=f) @ weights - p)
+        # not f @ weights: BLAS gemv sums a row in an order that depends on
+        # the rows in the batch and the thread count
+        quad = np.einsum("ij,j->i", np.square(f, out=f), weights)
+        out[done:done + len(f)] = scale * (quad - p)
     return out

@@ -252,15 +252,18 @@ def ne_basis_covariance(points):
 def ne_limit_inverse_form(r, c_star, n_draws, seed):
     """Non-ergodic limit draws by the inverse-operator form, solved directly.
 
-    Draws G ~ N(0, I_q) of shape (q, n_draws) as the library does, sets
-    Z = Q L^(1/2) G from eigh(R0) = Q L Q', and returns
-    (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z per column by an LU solve.
+    From eigh(R0) = Q L Q' keeps the eigenpairs above the numerical-rank
+    tolerance q eps l_max, draws G ~ N(0, I) of shape (kept, n_draws), the
+    stream the library reads, sets Z = Q L^(1/2) G over the kept pairs,
+    and returns (c*/q) Z' (I + (2 c*/q) R0)^{-1} Z per column by an LU
+    solve of the full q x q operator.
     """
     r = np.asarray(r, dtype=float)
     q = r.shape[0]
     evals, evecs = np.linalg.eigh(r)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    g = np.random.default_rng(seed).standard_normal((q, n_draws))
+    keep = evals > q * np.finfo(float).eps * evals[-1]
+    root = evecs[:, keep] * np.sqrt(evals[keep])
+    g = np.random.default_rng(seed).standard_normal((int(keep.sum()), n_draws))
     z = root @ g
     v = np.linalg.solve(np.eye(q) + (2.0 * c_star / q) * r, z)
     return (c_star / q) * np.einsum("ij,ij->j", z, v)

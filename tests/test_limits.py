@@ -40,6 +40,14 @@ def rank_two_grid(q):
     return x @ x.T
 
 
+class OnesGenerator(np.random.Generator):
+    """A generator whose standard normals are all 1: each NE draw is then
+    (c*/q) times the sum of the sampler's weights."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        return np.ones(size)
+
+
 class TestRegimeDispatch:
     def test_kappa_squared_sum(self):
         rho = np.array([1.0, 0.5, 0.25])
@@ -93,6 +101,35 @@ class TestNeLimitSampler:
         draws = sample_ne_limit(grid, c_star, 3_000, 91)
         assert_draws_agree(draws, ne_limit_inverse_form(grid, c_star, 3_000, 91))
 
+    @pytest.mark.parametrize("grid,c_star", [
+        (ne_correlation(200), 1.0),
+        (rank_two_grid(80), 0.5),
+    ], ids=["ne_correlation_200", "rank_two_80"])
+    def test_kept_weights_give_exact_mean(self, grid, c_star):
+        # the weights over the eigenvalues above the rank tolerance sum to
+        # the trace of the full operator: the dropped ones carry nothing
+        q = grid.shape[0]
+        exact = (c_star / q) * np.trace(
+            np.linalg.solve(np.eye(q) + (2 * c_star / q) * grid, grid))
+        draws = sample_ne_limit(grid, c_star, 3,
+                                OnesGenerator(np.random.PCG64(0)))
+        np.testing.assert_allclose(draws, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("grid", [
+        np.eye(50),
+        0.5 ** np.abs(np.subtract.outer(np.arange(100), np.arange(100))),
+    ], ids=["identity_50", "ar1_100"])
+    def test_full_rank_grid_keeps_full_form_draws(self, grid):
+        # the full form, weights over all q eigenvalues and q x n_draws
+        # normals: no eigenvalue of these grids is below the rank tolerance
+        q, c_star, n_draws = grid.shape[0], 1.0, 2_000
+        evals = np.linalg.eigvalsh(grid)
+        w = np.clip(evals, 0.0, None) / (1.0 + (2.0 * c_star / q) * evals)
+        g = np.random.default_rng(23).standard_normal((q, n_draws))
+        full_form = (c_star / q) * (w @ np.square(g, out=g))
+        draws = sample_ne_limit(grid, c_star, n_draws, 23)
+        np.testing.assert_array_equal(draws, full_form)
+
     def test_spectral_condition_enforced(self):
         # a nearly-constant process: mean(rho^2) ~ 1 makes the series diverge
         q = 40
@@ -116,8 +153,8 @@ class TestNeLimitSampler:
         np.fill_diagonal(not_psd, 1.0)
         with pytest.raises(NumericError, match="PSD"):
             sample_ne_limit(not_psd, 0.1, 10, 0)
-        for c_star in (-1.0, math.nan):
-            with pytest.raises(DomainError):
+        for c_star in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
                 sample_ne_limit(np.eye(4), c_star, 10, 0)
         for n_draws in (0, -5):
             with pytest.raises(DimensionError):
@@ -147,14 +184,14 @@ class TestLrdLimitSampler:
         b = sample_lrd_limit(0.1, 512, 100, 42, c_star=2.5)
         np.testing.assert_allclose(b, 2.5 * a, rtol=1e-12)
 
-    # even and odd p; n_draws at the batch size _LRD_BATCH_ELEMENTS // p and
-    # one past it, so the second case runs two batches against the oracle's
-    # single draw of all rows
+    # even and odd p; n_draws spanning 16 batches of _LRD_BATCH_ELEMENTS // p
+    # rows (64 at p = 512, 46 at p = 701), the last one shorter, against the
+    # oracle's single draw of all rows
     @pytest.mark.parametrize("p,n_draws", [
-        (512, _LRD_BATCH_ELEMENTS // 512),
-        (512, _LRD_BATCH_ELEMENTS // 512 + 1),
-        (701, _LRD_BATCH_ELEMENTS // 701),
-        (701, _LRD_BATCH_ELEMENTS // 701 + 1),
+        (512, 976),
+        (512, 977),
+        (701, 713),
+        (701, 714),
         (2, 7),
     ])
     def test_matches_dense_product(self, p, n_draws):
@@ -162,6 +199,20 @@ class TestLrdLimitSampler:
         draws = sample_lrd_limit(alpha, p, n_draws, 17, c_star)
         reference = lrd_limit_dense(alpha, p, n_draws, 17, c_star)
         assert_draws_agree(draws, reference)
+
+    # 37 draws in one batch against 1, 3 and 5 rows a batch, the last one
+    # shorter: an OpenBLAS matrix-vector product for the weighted sums gave
+    # other bits in each case, as its summation order depends on how many
+    # rows the batch holds
+    @pytest.mark.parametrize("batch_elements", [250, 3 * 250, 5 * 250])
+    def test_draws_do_not_depend_on_batch_size(self, monkeypatch,
+                                               batch_elements):
+        p, n_draws = 250, 37
+        one_batch = sample_lrd_limit(0.2, p, n_draws, 29)
+        assert _LRD_BATCH_ELEMENTS >= p * n_draws
+        monkeypatch.setattr("pelhd.limits._LRD_BATCH_ELEMENTS", batch_elements)
+        batched = sample_lrd_limit(0.2, p, n_draws, 29)
+        assert np.array_equal(batched, one_batch)
 
     def test_same_law_as_cholesky_product(self):
         # 20 000 draws each from unrelated streams: the KS p-value reads 0.63
@@ -172,8 +223,8 @@ class TestLrdLimitSampler:
         assert ks_2samp(draws, reference).pvalue >= 0.01
 
     @pytest.mark.parametrize("p,n_draws,bound_mb", [
-        (2**16, 20, 32),   # a Cholesky factor at this p takes 32 GiB
-        (2048, 1000, 24),  # the benchmark's size: guards the batch size
+        (2**16, 20, 8),   # a Cholesky factor at this p takes 32 GiB
+        (2048, 1000, 4),  # the benchmark's size: guards the batch size
     ])
     def test_memory_and_no_factor(self, p, n_draws, bound_mb):
         tracemalloc.start()
